@@ -26,11 +26,12 @@ order):
   accesses are provably identical elements (all-zero offset delta —
   statement order preserves those elementwise), provably disjoint
   (distinct known-constant subscripts, e.g. ``vx(n, j)`` vs
-  ``vx(n-1, j)``), or separated by a two-color parity mask
-  (``mod(i + j, 2) .eq. c`` guarding a red-black sweep whose stencil
-  offsets have odd parity — the colliding elements are the other color);
-  anything else (pipelined Gauss–Seidel above all) keeps the sequential
-  order;
+  ``vx(n-1, j)``, or invariant subscripts ``s + c1`` vs ``s + c2`` over
+  the same integer scalar with ``c1 != c2``, e.g. ``u(i-1, j)`` vs
+  ``u(i, j)`` under an enclosing ``i`` loop), or separated by a
+  two-color parity mask (``mod(i + j, 2) .eq. c`` guarding a red-black
+  sweep whose stencil offsets have odd parity — the colliding elements
+  are the other color);
 * scalar assignments are either recognized reductions (``x = amax1(x, e)``
   and friends — max/min folds are associative and bitwise-exact; integer
   sums are exact with arbitrary-precision accumulation; *float* sums fall
@@ -40,6 +41,24 @@ order):
 * intrinsics are limited to the ones with a bitwise-identical numpy
   elementwise equivalent (no transcendentals: ``exp``/``sin``/... differ
   from libm in the last ulp).
+
+Carried levels.  When the only obstruction left is dependences whose
+nonzero distances all lie on a proper subset C of the levels (the
+direction-split sweep ``u(i,j,k) = c*(u(i,j,k-1) + u(i,j,k+1))`` has
+C = {k}), :func:`analyze_nest` returns ``ok=False`` facts with
+``carried`` naming C: the emitter runs C's loops as scalar loops,
+outermost, in their original relative order and step direction, and the
+free levels as the slice statements above, with C's variables invariant
+scalars (the facts come from re-running the analysis that way).  The
+interchange is legal because every distance vector is zero outside C:
+two dependent iterations share their free coordinates, so their order
+is decided by C alone, in both orders.  One interchange hazard is
+refused: hoisting an inner level changes which iteration runs last, so
+a conditionally assigned temporary would leave a different exit value.
+A nest carried on every level (Gauss–Seidel) keeps the sequential
+order; its reason names the carried variables.  ``ok`` stays False for
+these nests because the overlap splitter reads it as "fully
+order-independent".
 
 Aliasing caveat: like every Fortran compiler, the analysis assumes two
 differently-named arrays do not overlap (the F77 rule that written dummy
@@ -93,6 +112,16 @@ class Fallback(Exception):
     def __init__(self, reason: str) -> None:
         self.reason = reason
         super().__init__(reason)
+
+
+class _Carried(Fallback):
+    """Every obstruction left is a dependence carried by ``carried``
+    (nest variables, outermost first)."""
+
+    def __init__(self, arrays: list[str], carried: list[str]) -> None:
+        self.carried = carried
+        super().__init__(f"loop-carried dependence on {', '.join(arrays)} "
+                         f"(carried by {', '.join(carried)})")
 
 
 # -- classified body statements (consumed by the emitter) ----------------------
@@ -151,6 +180,10 @@ class NestFacts:
     temps: dict = field(default_factory=dict)  # name -> (counter, ctx)
     reductions: dict = field(default_factory=dict)  # name -> op
     var_values: frozenset = frozenset()  # nest vars read as values
+    #: partial vectorization (``ok`` stays False): the levels that carry
+    #: every dependence, run as scalar loops outermost; ``nest_vars`` then
+    #: names only the free levels the slab statements cover
+    carried: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -180,17 +213,21 @@ def _same_expr(a: A.Expr, b: A.Expr) -> bool:
     return False
 
 
-def _multilinear(expr: A.Expr, vset: set[str]
+def _multilinear(expr: A.Expr, vset: set[str],
+                 consts: dict[str, int] | None = None
                  ) -> tuple[dict[str, int], int] | None:
-    """Decompose as ``sum(coeff_v * v) + const`` over *vset* (ints only)."""
+    """Decompose as ``sum(coeff_v * v) + const`` over *vset* (ints only),
+    folding the known values in *consts*."""
     if isinstance(expr, A.IntLit):
         return {}, expr.value
     if isinstance(expr, A.Var):
         if expr.name in vset:
             return {expr.name: 1}, 0
+        if consts and expr.name in consts:
+            return {}, consts[expr.name]
         return None
     if isinstance(expr, A.UnOp):
-        inner = _multilinear(expr.operand, vset)
+        inner = _multilinear(expr.operand, vset, consts)
         if inner is None:
             return None
         if expr.op == "+":
@@ -200,8 +237,8 @@ def _multilinear(expr: A.Expr, vset: set[str]
             return {v: -c for v, c in coeffs.items()}, -const
         return None
     if isinstance(expr, A.BinOp):
-        left = _multilinear(expr.left, vset)
-        right = _multilinear(expr.right, vset)
+        left = _multilinear(expr.left, vset, consts)
+        right = _multilinear(expr.right, vset, consts)
         if left is None or right is None:
             return None
         lc, lk = left
@@ -243,7 +280,8 @@ class _NestAnalysis:
     from the provable subset."""
 
     def __init__(self, loop: A.DoLoop, table: SymbolTable,
-                 targeted_labels: frozenset[int]) -> None:
+                 targeted_labels: frozenset[int],
+                 carried: frozenset[str] = frozenset()) -> None:
         self.table = table
         self.targeted = targeted_labels
         self.levels: list[A.DoLoop] = []
@@ -259,7 +297,9 @@ class _NestAnalysis:
                 cur = cur.body[0]
                 continue
             break
-        self.vset = {lv.var for lv in self.levels}
+        # carried levels are scalar loops around the slab: invariant in it
+        self.carried = [lv.var for lv in self.levels if lv.var in carried]
+        self.vset = {lv.var for lv in self.levels} - carried
         self.invariants = {
             sym.name: int(sym.param_value)
             for sym in table.symbols.values()
@@ -271,6 +311,10 @@ class _NestAnalysis:
         self.invariant_vars: set[str] = set()  # must stay invariant
         self.var_values: set[str] = set()
         self.parity_of: dict[tuple, dict[str, int]] = {}
+        self.int_scalars = {
+            sym.name for sym in table.symbols.values()
+            if sym.type_name == "integer" and not sym.is_array
+            and sym.name not in self.invariants}
 
     # -- typing (literals/vars/intrinsics only: calls are whitelisted) ---------
 
@@ -584,7 +628,12 @@ class _NestAnalysis:
                     continue
                 if _same_expr(ea, eb):
                     continue
-                return None
+                la, lb = self._int_affine(ea), self._int_affine(eb)
+                if la is None or lb is None or la[0] != lb[0]:
+                    return None
+                if la[1] != lb[1]:
+                    return "disjoint"  # s + c1 vs s + c2
+                continue
             if ka is SubscriptKind.INDUCTION and kb is SubscriptKind.INDUCTION:
                 if ia.var != ib.var:
                     return None
@@ -601,11 +650,22 @@ class _NestAnalysis:
             return None  # mixed induction/constant/strided
         return deltas
 
+    def _int_affine(self, e: A.Expr) -> tuple[dict[str, int], int] | None:
+        """``sum(coeff * s) + const`` over integer scalars (PARAMETERs
+        folded); the caller has already proved every ``s`` invariant."""
+        lin = _multilinear(e, self.int_scalars, self.invariants)
+        if lin is None:
+            return None
+        coeffs, const = lin
+        return {v: c for v, c in coeffs.items() if c}, const
+
     def _check_dependences(self) -> None:
         writes: dict[str, list[_Ref]] = {}
         reads: dict[str, list[_Ref]] = {}
         for r in self.refs:
             (writes if r.is_write else reads).setdefault(r.name, []).append(r)
+        carried: set[str] = set()
+        arrays: list[str] = []
         for name, ws in writes.items():
             pairs = [(w, r) for w in ws for r in reads.get(name, ())]
             pairs += list(combinations(ws, 2))
@@ -620,7 +680,12 @@ class _NestAnalysis:
                     continue  # identical elements: statement order holds
                 if a.ctx == b.ctx and self._parity_exempt(a.ctx, nz):
                     continue
-                raise Fallback(f"loop-carried dependence on {name}")
+                carried.update(v for v, _ in nz)
+                if name not in arrays:
+                    arrays.append(name)
+        if carried:
+            raise _Carried(arrays, [lv.var for lv in self.levels
+                                    if lv.var in carried])
 
     def _parity_exempt(self, ctx: tuple, deltas: list) -> bool:
         """True when a guard along *ctx* two-colors the colliding lanes."""
@@ -675,10 +740,12 @@ class _NestAnalysis:
             raise Fallback(f"per-point scalar {sorted(clash)[0]} in "
                            f"invariant position")
         self._check_dependences()
-        return NestFacts(ok=True, levels=tuple(self.levels),
-                         nest_vars=tuple(lv.var for lv in self.levels),
+        return NestFacts(ok=not self.carried, levels=tuple(self.levels),
+                         nest_vars=tuple(lv.var for lv in self.levels
+                                         if lv.var in self.vset),
                          body=body, temps=temps, reductions=reductions,
-                         var_values=frozenset(self.var_values))
+                         var_values=frozenset(self.var_values),
+                         carried=tuple(self.carried))
 
 
 def analyze_nest(loop: A.DoLoop, table: SymbolTable,
@@ -686,10 +753,36 @@ def analyze_nest(loop: A.DoLoop, table: SymbolTable,
     """Safety facts for the maximal perfect DO chain rooted at *loop*.
 
     Returns ``NestFacts(ok=True, ...)`` when statement-at-a-time slice
-    execution is provably bitwise-equal to the sequential order, else
-    ``NestFacts(ok=False, reason=...)`` naming the first obstruction.
+    execution is provably bitwise-equal to the sequential order.  When
+    the only obstruction is dependences whose distances are nonzero on a
+    proper subset of the levels, returns ``ok=False`` facts with
+    ``carried`` naming that subset (see the module docstring).  Otherwise
+    ``NestFacts(ok=False, reason=...)`` names the first obstruction.
     """
+    nest = _NestAnalysis(loop, table, targeted_labels)
     try:
-        return _NestAnalysis(loop, table, targeted_labels).run()
+        return nest.run()
+    except _Carried as cd:
+        if len(cd.carried) == len(nest.levels):
+            return NestFacts(ok=False, reason=f"{cd.reason}: no free level")
+        try:
+            facts = _NestAnalysis(loop, table, targeted_labels,
+                                  frozenset(cd.carried)).run()
+        except Fallback as fb:
+            return NestFacts(ok=False,
+                             reason=f"{cd.reason}: free levels refuse: "
+                                    f"{fb.reason}")
+        outer = [lv.var for lv in nest.levels[:len(cd.carried)]]
+        if cd.carried != outer:
+            # hoisting an inner level changes which iteration runs last,
+            # and with it the exit value of a conditionally set temporary
+            cond = sorted(n for n, (_, ctx) in facts.temps.items() if ctx)
+            if cond:
+                return NestFacts(ok=False,
+                                 reason=f"{cd.reason}: conditional "
+                                        f"temporary {cond[0]} under an "
+                                        f"interchanged level")
+        facts.reason = cd.reason
+        return facts
     except Fallback as fb:
         return NestFacts(ok=False, reason=fb.reason)

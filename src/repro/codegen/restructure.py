@@ -580,6 +580,8 @@ class Restructurer:
             return refuse("the loop after the exchange is not a "
                           "field-loop nest")
         facts = analyze_nest(loop, unit.symbols, targets)
+        # ``ok`` means fully order-independent; a partly vectorizable
+        # sweep (``facts.carried``) still orders its carried levels
         if not facts.ok:
             return refuse(f"consumer nest is not provably "
                           f"order-independent: {facts.reason}")

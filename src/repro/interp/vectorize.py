@@ -5,9 +5,13 @@ proves dependence-free (Jacobi-type A-loops, red-black sweeps behind
 parity masks, max/min/integer-sum reductions), :func:`try_emit_nest`
 emits whole-array numpy slice statements over the ``OffsetArray``
 buffers instead of the scalar ``for`` nest — typically a 10-100x speedup
-on field loops — and returns ``False`` for anything outside the provable
-subset so :mod:`repro.interp.pyback` keeps its scalar translation
-(pipelined Gauss–Seidel sweeps, GOTO-carrying nests, subroutine calls).
+on field loops.  A nest whose dependences are carried by some of its
+levels only (``NestFacts.carried``: direction-split sweeps) becomes
+scalar loops over those levels around slice statements over the rest.
+:func:`try_emit_nest` returns ``False`` for anything outside the
+provable subset so :mod:`repro.interp.pyback` keeps its scalar
+translation (Gauss–Seidel sweeps carried on every level, GOTO-carrying
+nests, subroutine calls).
 
 Emission contract (why this is bitwise-safe):
 
@@ -26,6 +30,11 @@ Emission contract (why this is bitwise-safe):
 * scalar temporaries become box-shaped arrays (copied, so later stores
   to a source array cannot retroactively change them) and their
   last-executed-iteration value is restored after the nest;
+* carried levels run as Python loops inside every level's trip-count
+  guard, outermost and in their original order and direction; the slice
+  statements then see a carried variable as an invariant scalar, and
+  temporaries are extracted after every slab (the analysis refuses the
+  one case where that would pick a different last iteration);
 * DO-variable exit values are reproduced exactly, including the
   zero-trip-count case where inner loop variables stay untouched;
 * SPMD programs work unchanged: halo regions are excluded by the loop
@@ -121,14 +130,17 @@ _SCALAR_CAST = {"i": "int", "r": "float", "l": "bool"}
 def try_emit_nest(comp, loop: A.DoLoop) -> bool:
     """Emit *loop* as numpy slice statements into *comp* if provably safe.
 
-    Returns True on success; on False the caller must emit the scalar
-    translation (its recursion retries inner nests on their own, which
-    also handles triangular nests whose inner bounds depend on the outer
-    variable).  Updates ``comp.stats`` either way.
+    A nest whose dependences are carried by some of its levels is emitted
+    partly vectorized: scalar loops over the carried levels around slice
+    statements over the free ones.  Returns True on success; on False the
+    caller must emit the scalar translation (its recursion retries inner
+    nests on their own, which also handles triangular nests whose inner
+    bounds depend on the outer variable).  Updates ``comp.stats`` either
+    way.
     """
     facts = analyze_nest(loop, comp.table,
                          frozenset(comp.targeted_labels))
-    if not facts.ok:
+    if not (facts.ok or facts.carried):
         comp.stats["fallback"] += 1
         comp.stats["reasons"].append(
             (comp.unit.name, loop.line, facts.reason))
@@ -140,14 +152,20 @@ def try_emit_nest(comp, loop: A.DoLoop) -> bool:
 
 class _NestEmitter:
     """Writes the slice translation of one proven nest through the unit
-    compiler's line buffer (sharing its indentation and name supply)."""
+    compiler's line buffer (sharing its indentation and name supply).
+
+    Header names (``{base}s{h}``, ``d``, ``n``) are indexed by the level's
+    position ``h`` in the DO chain; slice axes and grids by its position
+    among the free levels (``facts.nest_vars``).
+    """
 
     def __init__(self, comp, facts: NestFacts) -> None:
         self.c = comp
         self.f = facts
-        self.L = len(facts.levels)
+        self.L = len(facts.nest_vars)
         self.base = comp.fresh("vz")
         self.level_of = {v: k for k, v in enumerate(facts.nest_vars)}
+        self.hdr = {lv.var: h for h, lv in enumerate(facts.levels)}
         self.invariants = {
             sym.name: int(sym.param_value)
             for sym in comp.table.symbols.values()
@@ -155,34 +173,46 @@ class _NestEmitter:
 
     def emit(self) -> None:
         c, b = self.c, self.base
-        for k, lv in enumerate(self.f.levels):
+        for h, lv in enumerate(self.f.levels):
             start = c.expr(lv.start)
             stop = c.expr(lv.stop)
             step = c.expr(lv.step) if lv.step is not None else "1"
-            c.w(f"{b}s{k} = int({start})")
-            c.w(f"{b}d{k} = int({step})")
-            c.w(f"{b}n{k} = _do_trips({b}s{k}, int({stop}), {b}d{k})")
+            c.w(f"{b}s{h} = int({start})")
+            c.w(f"{b}d{h} = int({step})")
+            c.w(f"{b}n{h} = _do_trips({b}s{h}, int({stop}), {b}d{h})")
             # DO-variable exit value; inner levels stay inside the outer
             # guard so they remain untouched when the outer nest is empty
-            c.w(f"f_{lv.var} = {b}s{k} + {b}n{k} * {b}d{k}")
-            c.w(f"if {b}n{k} > 0:")
+            c.w(f"f_{lv.var} = {b}s{h} + {b}n{h} * {b}d{h}")
+            c.w(f"if {b}n{h} > 0:")
             c.depth += 1
-        c.w(f"{b}bx = ({', '.join(f'{b}n{k}' for k in range(self.L))},)")
+        counts = ", ".join(f"{b}n{self.hdr[v]}" for v in self.f.nest_vars)
+        c.w(f"{b}bx = ({counts},)")
         for v in sorted(self.f.var_values, key=self.level_of.get):
-            k = self.level_of[v]
-            grid = f"({b}s{k} + {b}d{k} * _np.arange({b}n{k}))"
+            k, h = self.level_of[v], self.hdr[v]
+            grid = f"({b}s{h} + {b}d{h} * _np.arange({b}n{h}))"
             if self.L > 1:
-                shape = ", ".join(f"{b}n{k}" if j == k else "1"
+                shape = ", ".join(f"{b}n{h}" if j == k else "1"
                                   for j in range(self.L))
                 grid += f".reshape({shape})"
             c.w(f"{b}g{k} = {grid}")
+        # carried levels: scalar loops, outermost, in their original order
+        # and direction; every trip count is known positive here
+        for v in self.f.carried:
+            h = self.hdr[v]
+            c.w(f"for {b}k{h} in range({b}n{h}):")
+            c.depth += 1
+            c.w(f"f_{v} = {b}s{h} + {b}k{h} * {b}d{h}")
         for name in self.f.temps:
             c.w(f"{b}t_{name} = None")
             c.w(f"{b}tm_{name} = None")
         self._body(self.f.body, None)
         self._extract_temps()
         c.w("pass")
-        c.depth -= self.L
+        for v in reversed(self.f.carried):
+            h = self.hdr[v]
+            c.depth -= 1
+            c.w(f"f_{v} = {b}s{h} + {b}n{h} * {b}d{h}")
+        c.depth -= len(self.f.levels)
 
     # -- statement emission ----------------------------------------------------
 
@@ -358,16 +388,16 @@ class _NestEmitter:
                                      self.invariants)
             lb = f"f_{ref.name}_l{d}"
             if info.kind is SubscriptKind.INDUCTION:
-                k = self.level_of[info.var]
-                parts.append(f"_vsl({b}s{k} + {info.offset} - {lb}, "
-                             f"{b}n{k}, {b}d{k})")
-                axes_levels.append(k)
+                h = self.hdr[info.var]
+                parts.append(f"_vsl({b}s{h} + {info.offset} - {lb}, "
+                             f"{b}n{h}, {b}d{h})")
+                axes_levels.append(self.level_of[info.var])
             elif info.kind is SubscriptKind.STRIDED:
-                k = self.level_of[info.var]
+                h = self.hdr[info.var]
                 a = info.coeff
-                parts.append(f"_vsl({a} * {b}s{k} + {info.offset} - {lb}, "
-                             f"{b}n{k}, {a} * {b}d{k})")
-                axes_levels.append(k)
+                parts.append(f"_vsl({a} * {b}s{h} + {info.offset} - {lb}, "
+                             f"{b}n{h}, {a} * {b}d{h})")
+                axes_levels.append(self.level_of[info.var])
             else:
                 parts.append(f"{self.c.expr(sub)} - {lb}")
         return f"f_{ref.name}_d[{', '.join(parts)}]", axes_levels
@@ -455,7 +485,9 @@ def survey(cu: A.CompilationUnit) -> tuple[int, int, list]:
     """Count (vectorized, fallback) nests and collect fallback reasons.
 
     Mirrors the backend's translation walk exactly: a proven chain is
-    one vectorized nest (inner levels are consumed by it); a failed loop
+    one vectorized nest (inner levels are consumed by it), and so is a
+    partly vectorized one (its carried levels are not fallbacks); a failed
+    loop
     counts as one fallback and its body is searched for inner nests the
     scalar recursion would retry.
     """
@@ -474,7 +506,7 @@ def survey(cu: A.CompilationUnit) -> tuple[int, int, list]:
         for s in stmts:
             if isinstance(s, A.DoLoop):
                 facts = analyze_nest(s, unit.symbols, targeted)
-                if facts.ok:
+                if facts.ok or facts.carried:
                     vec += 1
                 else:
                     fallback += 1

@@ -263,3 +263,70 @@ class TestInterprocedural:
                 "relaxx_acfd_int, boundary as relaxx_acfd_bnd") in text
         assert "subroutine relaxx_acfd_int" in text
         assert "subroutine relaxx_acfd_bnd" in text
+
+
+# -- the gate reads ``NestFacts.ok``, not "the vectorizer takes it" -----------------
+#
+# A direction-split sweep is partly vectorized (scalar carried loop around
+# slabs), but its nest is not order-independent: splitting it into an
+# interior and strips would reorder the carried dependence.
+
+YSWEEP_SRC = """\
+!$acfd status v, w
+!$acfd grid 12 8
+!$acfd frame iter
+program ysweep
+  implicit none
+  integer n, m, i, j, iter
+  parameter (n = 12, m = 8)
+  real v(n, m), w(n, m)
+  do i = 1, n
+    do j = 1, m
+      v(i, j) = 0.1 * float(i + 3 * j)
+      w(i, j) = 0.5
+    end do
+  end do
+  do iter = 1, 4
+    do i = 1, n
+      do j = 1, m
+        w(i, j) = 0.5 * v(i, j) + 0.1
+      end do
+    end do
+    do i = 2, n - 1
+      do j = 2, m - 1
+        v(i, j) = 0.4 * (v(i, j-1) + v(i, j+1)) &
+          + 0.1 * (w(i-1, j) + w(i+1, j))
+      end do
+    end do
+  end do
+  write (6, *) v(2, 2)
+end program ysweep
+"""
+
+
+class TestPartialVectorGate:
+    def test_exchange_before_direction_split_sweep_refuses(self):
+        from repro.interp.vectorize import survey
+        compiled_ = AutoCFD.from_source(YSWEEP_SRC).compile(
+            partition=(2, 1))
+        d = decision(compiled_.plan, 1)
+        assert not d.enabled
+        assert d.reason == ("consumer nest is not provably "
+                            "order-independent: loop-carried dependence "
+                            "on v (carried by j)")
+        # ... although the vectorizer does take that nest (partly)
+        _vec, fallback, reasons = survey(compiled_.spmd_cu)
+        assert fallback == 1, reasons  # the frame loop only
+
+    def test_app_overlap_decisions_pinned(self):
+        from repro.apps.aerofoil import aerofoil_source
+        from repro.apps.sprayer import sprayer_source
+        for src, dims, enabled, total in (
+                (aerofoil_source(64, 24, 8, iters=1, eps=0.0), (2, 1, 1),
+                 {5, 8}, 8),
+                (sprayer_source(300, 100, iters=2, eps=0.0), (2, 1),
+                 {1, 2, 3, 4, 5, 6}, 7)):
+            plan = AutoCFD.from_source(src).compile(partition=dims).plan
+            assert len(plan.overlap_decisions) == total
+            assert {d.sync_id for d in plan.overlap_decisions
+                    if d.enabled} == enabled

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.fortran import parse_source
+
+# Property tests that set no ``max_examples`` of their own run the small
+# "tier1" budget; a deeper run passes ``--hypothesis-profile=fuzz``.
+settings.register_profile("tier1", max_examples=40)
+settings.register_profile("fuzz", max_examples=1500)
+settings.load_profile("tier1")
 
 
 def parse(src: str, **kwargs):

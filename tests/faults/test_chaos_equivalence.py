@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.apps import kernels
 from repro.faults import run_chaos
 
 pytestmark = pytest.mark.chaossmoke
@@ -56,6 +57,33 @@ class TestSprayerMatrix:
         assert sc["fault_plan"]["seed"] == 3
         assert sc["restarts"] >= 1
         assert "identical" in report.table()
+
+
+class TestAdiSweepsMatrix:
+    """Pipelined in-place sweeps, partly vectorized, under faults: the
+    cut runs along the x sweep (2x1x1) or the z sweep (1x1x2)."""
+
+    SRC = kernels.adi_sweeps_3d(n=8, m=6, l=5, iters=6, eps=0.0)
+
+    @pytest.mark.parametrize("dims", [(2, 1, 1), (1, 1, 2)],
+                             ids=["2x1x1", "1x1x2"])
+    def test_thread_matrix(self, tmp_path, dims):
+        report = run_chaos(source=self.SRC, frames=6, partition=dims,
+                           seed=7, scenarios=("drop", "delay", "crash"),
+                           workdir=str(tmp_path))
+        assert report.ok, report.table()
+        for s in report.scenarios:
+            assert s.identical is True
+            assert s.fired, f"{s.name}: planned fault never triggered"
+
+    def test_process_crash_along_z(self, tmp_path):
+        report = run_chaos(source=self.SRC, frames=6, partition=(1, 1, 2),
+                           seed=7, scenarios=("crash",), max_restarts=5,
+                           timeout=120.0, workdir=str(tmp_path),
+                           executor="process")
+        assert report.ok, report.table()
+        assert report.scenarios[0].identical is True
+        assert report.scenarios[0].restarts >= 1
 
 
 class TestChaosPostmortems:

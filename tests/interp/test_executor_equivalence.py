@@ -35,6 +35,8 @@ CASES = [
     ("wide_stencil_2d", lambda: kernels.wide_stencil_2d(n=12, m=8, iters=4)),
     ("packed_states_2d", lambda: kernels.packed_states_2d(n=10, m=8,
                                                           iters=4)),
+    ("adi_sweeps_3d", lambda: kernels.adi_sweeps_3d(n=8, m=6, l=5,
+                                                    iters=4)),
 ]
 
 

@@ -10,6 +10,7 @@ gate, or the nonblocking runtime.
 
 import pytest
 
+from repro.apps import kernels
 from repro.core.pipeline import AutoCFD
 
 from tests.interp.test_executor_equivalence import CASES
@@ -52,6 +53,28 @@ def test_overlap_matches_blocking_process_executor(name, gen):
             f"{name}: overlap diverges from blocking on {aname!r} (process)"
 
 
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_adi_sweeps_cut_along_z(executor):
+    # the gallery cuts the first dimension (pipelining the x sweep); a
+    # 1x1x2 cut pipelines the z sweep instead, whose vector form runs a
+    # scalar k loop around (i, j) planes
+    acfd = AutoCFD.from_source(kernels.adi_sweeps_3d(n=8, m=6, l=5,
+                                                     iters=4))
+    seq = acfd.run_sequential()
+    for overlap in ("off", "auto"):
+        compiled = acfd.compile(partition=(1, 1, 2), overlap=overlap)
+        assert compiled.plan.pipes, "the z sweep must pipeline"
+        for vectorize in (True, False):
+            par = compiled.run_parallel(timeout=60.0, executor=executor,
+                                        vectorize=vectorize)
+            assert par.output() == seq.io.output()
+            for aname in compiled.plan.arrays:
+                assert (par.array(aname).data.tobytes()
+                        == seq.array(aname).data.tobytes()), \
+                    (f"adi_sweeps_3d 1x1x2 {executor} overlap={overlap} "
+                     f"vectorize={vectorize} diverges on {aname!r}")
+
+
 def test_gallery_has_at_least_one_overlapped_kernel():
     # the matrix is vacuous if the gate refuses everything: assert some
     # kernels actually take the nonblocking path on a 2x1 cut
@@ -72,7 +95,6 @@ def test_gallery_has_at_least_one_overlapped_kernel():
 # rewrite — begin / call <callee>_acfd_int / finish / call
 # <callee>_acfd_bnd — can overlap it.
 
-from repro.apps import kernels  # noqa: E402
 
 SUB_CASES = [
     ("jacobi_5pt_sub", lambda: kernels.jacobi_5pt_sub(n=12, m=8, iters=6),

@@ -184,8 +184,18 @@ end
         _assert_same_state(scalar, vector)
 
     def test_report_counts_flow_to_compiled_program(self):
-        cu = parse_source(kernels.jacobi_5pt(n=10, m=8, iters=3))
-        stats = compile_unit(cu, vectorize=True).vector_stats
-        svec, sfall, _ = survey(cu)
-        assert stats["vectorized"] == svec
-        assert stats["fallback"] == sfall
+        # aerofoil: the direction-split sweeps count as vectorized (their
+        # scalar carried loops are no fallbacks), sequential and SPMD
+        from repro.apps.aerofoil import aerofoil_source
+        from repro.core.pipeline import AutoCFD
+        aero = AutoCFD.from_source(aerofoil_source(12, 8, 6, iters=1))
+        for cu in (parse_source(kernels.jacobi_5pt(n=10, m=8, iters=3)),
+                   aero.cu, aero.compile(partition=(2, 1, 1)).spmd_cu):
+            stats = compile_unit(cu, vectorize=True).vector_stats
+            svec, sfall, _ = survey(cu)
+            assert stats["vectorized"] == svec
+            assert stats["fallback"] == sfall
+        report = aero.compile(partition=(2, 1, 1)).report
+        # fallbacks: the three blayer levels and the frame loop; the 16
+        # sweep nests are among the vectorized ones
+        assert (report.vector_loops, report.fallback_loops) == (28, 4)
