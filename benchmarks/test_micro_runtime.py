@@ -229,7 +229,8 @@ class _SeedEvent:
     nbytes: int
     tag: int | None
     extra: float = 0.0
-    t_ns: int = 0
+    t0_ns: int = 0
+    t1_ns: int = 0
 
 
 class _SeedEventLog(list):

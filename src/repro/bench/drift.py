@@ -15,6 +15,13 @@ business.
 Category mapping: the runtime's ``send`` time (buffered send issue)
 folds into ``halo`` — the simulator charges all neighbor-exchange cost
 to the exchange itself and has no separate send account.
+
+Both sides cover the same window: the simulator runs exactly as many
+frames as the real run marked (the trace's ``frame`` records), and the
+fault-free deck never converges early (``eps=0``), so every frame is
+whole.  Per-rank point-to-point traffic (sent bytes and messages) is
+deterministic on both sides and must match exactly;
+:meth:`DriftReport.traffic_mismatches` names any rank where it does not.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.sprayer import sprayer_source
 from repro.core import AutoCFD
+from repro.errors import ReproError
 from repro.simulate import ClusterSim, MachineModel, NetworkModel, NodeModel
 
 CATEGORIES = ("compute", "halo", "collective", "blocked", "fault")
@@ -33,8 +41,9 @@ _SPRAYER_DECK = "2.5 30"
 
 #: host-like calibration for drift runs: the in-process runtime has
 #: microsecond hand-off latency and memory-bandwidth "links", nothing
-#: like the PVM-era Ethernet the default models describe
-HOST_MACHINE = MachineModel(NodeModel(flop_time=2.0e-9))
+#: like the PVM-era Ethernet the default models describe; it ships
+#: float64 status values
+HOST_MACHINE = MachineModel(NodeModel(flop_time=2.0e-9), value_bytes=8)
 HOST_NETWORK = NetworkModel(latency=2.0e-5, bandwidth=2.0e9,
                             shared_medium=False)
 
@@ -50,8 +59,18 @@ class DriftReport:
     #: category -> {"observed_pct", "predicted_pct", "drift_pp"}
     categories: dict
     #: per-rank sent-traffic comparison: the real runtime's telemetry
-    #: byte counters against the simulator's modeled face messages
+    #: byte/message counters against the simulator's modeled faces
     traffic: list = field(default_factory=list)
+
+    def traffic_mismatches(self) -> list[str]:
+        """One line per rank whose sent bytes or messages differ
+        between the real run and the model."""
+        return [f"rank {row['rank']}: sent {row['observed_sent']} B in "
+                f"{row['observed_msgs']} messages, model "
+                f"{row['predicted_sent']} B in {row['predicted_msgs']}"
+                for row in self.traffic
+                if (row["observed_sent"], row["observed_msgs"])
+                != (row["predicted_sent"], row["predicted_msgs"])]
 
     @property
     def max_drift_pp(self) -> float:
@@ -81,12 +100,15 @@ class DriftReport:
             f"predicted {self.predicted_s * 1e3:.1f} ms on the model)")
         if self.traffic:
             lines.append(f"{'rank':>4s} {'sent(model)':>12s} "
-                         f"{'sent(real)':>12s} {'ratio':>6s}")
+                         f"{'sent(real)':>12s} {'msgs(model)':>12s} "
+                         f"{'msgs(real)':>11s} {'ratio':>6s}")
             for row in self.traffic:
                 ratio = row["ratio"]
                 lines.append(
                     f"{row['rank']:>4d} {row['predicted_sent']:>11d}B "
                     f"{row['observed_sent']:>11d}B "
+                    f"{row['predicted_msgs']:>12d} "
+                    f"{row['observed_msgs']:>11d} "
                     f"{'-' if ratio is None else format(ratio, '.2f'):>6s}")
         return "\n".join(lines)
 
@@ -119,6 +141,21 @@ def _predicted_breakdown(spans) -> dict[str, float]:
     return out
 
 
+def _frames_run(trace) -> int:
+    """Frames the real run executed: distinct ``frame`` marks per rank,
+    which every rank must agree on."""
+    marks: dict[int, set] = {}
+    for e in trace.snapshot():
+        if e.kind == "frame":
+            marks.setdefault(e.rank, set()).add(e.tag)
+    counts = {rank: len(tags) for rank, tags in marks.items()}
+    if not counts or len(set(counts.values())) != 1:
+        raise ReproError(f"drift: ranks marked different frame counts "
+                         f"{counts or '(none)'}; no common window to "
+                         f"compare")
+    return next(iter(counts.values()))
+
+
 def run_drift(n: int = 60, m: int = 24, iters: int = 8,
               partition: tuple[int, ...] = (2, 1),
               machine: MachineModel | None = None,
@@ -129,6 +166,9 @@ def run_drift(n: int = 60, m: int = 24, iters: int = 8,
 
     The grid is deliberately small: drift is a *shape* comparison, and
     a sub-second real run keeps ``acfd bench --drift`` interactive.
+    The simulator runs the frame count the real run marked; raises
+    :class:`~repro.errors.ReproError` when the ranks marked different
+    counts, so there is no one window to compare.
 
     With a :class:`repro.faults.FaultPlan` the comparison covers a
     *degraded* run: the real runtime executes under injection (recovering
@@ -137,8 +177,7 @@ def run_drift(n: int = 60, m: int = 24, iters: int = 8,
     part of the drift signal.
     """
     acfd = AutoCFD.from_source(sprayer_source(n=n, m=m, iters=iters,
-                                              eps=0.0 if faults is not None
-                                              else 1.0e-6))
+                                              eps=0.0))
     result = acfd.compile(partition=partition)
 
     from repro.obs.health import Telemetry
@@ -160,6 +199,7 @@ def run_drift(n: int = 60, m: int = 24, iters: int = 8,
         observed_samples = telemetry.samples()
     finally:
         telemetry.close()
+    frames = _frames_run(par.trace)
     observed_roll = par.rollup()
     observed = _observed_breakdown(observed_roll)
     observed_total = max((r.total for r in observed_roll.ranks),
@@ -176,7 +216,7 @@ def run_drift(n: int = 60, m: int = 24, iters: int = 8,
                      # milliseconds, not the cluster model's half second
                      restart_cost=restart_cost)
     # keep every frame inside the simulated (span-recorded) window
-    out = sim.run(iters, warmup=max(iters, 2))
+    out = sim.run(frames, warmup=max(frames, 2))
     predicted = _predicted_breakdown(out.spans)
 
     obs_pct = _shares(observed)
@@ -191,9 +231,11 @@ def run_drift(n: int = 60, m: int = 24, iters: int = 8,
             "rank": obs_s.rank,
             "observed_sent": obs_s.sent_bytes,
             "predicted_sent": sim_s.sent_bytes,
+            "observed_msgs": obs_s.sent_msgs,
+            "predicted_msgs": sim_s.sent_msgs,
             "ratio": (obs_s.sent_bytes / sim_s.sent_bytes
                       if sim_s.sent_bytes else None)})
-    return DriftReport(partition=tuple(partition), frames=iters,
+    return DriftReport(partition=tuple(partition), frames=frames,
                        observed_s=observed_total,
                        predicted_s=out.total_time,
                        categories=categories, traffic=traffic)

@@ -426,7 +426,12 @@ def cmd_bench(args) -> int:
               f"(sprayer 60x24, {report.frames} frames, "
               f"{'x'.join(map(str, report.partition))}){mode} ==")
         print(report.table())
-        return 0
+        # a recovered run replays only the frames after its restore
+        # point, so per-rank traffic is gated on fault-free runs only
+        mismatches = report.traffic_mismatches() if faults is None else []
+        for line in mismatches:
+            print(f"acfd: drift traffic mismatch: {line}", file=sys.stderr)
+        return 2 if mismatches else 0
 
     registry = bench.load_builtin()
     tags = list(args.tag or [])
@@ -629,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift", action="store_true",
                    help="report per-category predicted-vs-observed "
                         "drift (ClusterSim vs the real runtime) instead "
-                        "of running the suite")
+                        "of running the suite; exits 2 when frames or "
+                        "per-rank sent traffic disagree")
     p.add_argument("--degraded", type=int, metavar="SEED",
                    help="with --drift: inject a seeded straggler+crash "
                         "plan into both the real run and the model, so "

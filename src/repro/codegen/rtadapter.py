@@ -24,6 +24,8 @@ flows through one of these methods (the generated Python maps a call
 
 from __future__ import annotations
 
+from time import perf_counter_ns
+
 import numpy as np
 
 from repro.codegen.plan import ParallelPlan
@@ -33,7 +35,6 @@ from repro.partition.halo import GhostSpec, ghost_bounds
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Communicator
 from repro.runtime.halo import HaloExchanger, HaloSpec, shared_pool
-from repro.runtime.trace import TraceEvent
 
 _PIPE_TAG_BASE = 1 << 17
 
@@ -114,19 +115,8 @@ class RankRuntime:
                 f"{len(sync.arrays)}")
         specs = [self._halo_spec(name, arr, dists)
                  for (name, dists), arr in zip(sync.arrays, arrays)]
-        tele = self.comm.telemetry
-        if tele is None:
-            HaloExchanger(self.cart, specs,
-                          point_id=int(sync_id)).exchange()
-            return
-        prev = tele.enter(3)  # S_HALO
-        try:
-            HaloExchanger(self.cart, specs,
-                          point_id=int(sync_id)).exchange()
-        finally:
-            tele.enter(prev)
-            tele.push_event(self.comm.rank, "exchange", None, 0,
-                            int(sync_id))
+        self._in_halo(HaloExchanger(self.cart, specs,
+                                    point_id=int(sync_id)).exchange)
 
     def exchange_begin(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Post the aggregated exchange nonblocking (overlap path).
@@ -148,15 +138,7 @@ class RankRuntime:
         specs = [self._halo_spec(name, arr, dists)
                  for (name, dists), arr in zip(sync.arrays, arrays)]
         ex = HaloExchanger(self.cart, specs, point_id=sync_id)
-        tele = self.comm.telemetry
-        if tele is None:
-            ex.begin()
-        else:
-            prev = tele.enter(3)  # S_HALO
-            try:
-                ex.begin()
-            finally:
-                tele.enter(prev)
+        self._in_halo(ex.begin)
         self._exchangers[sync_id] = ex
 
     def exchange_finish(self, sync_id: int, *arrays: OffsetArray) -> None:
@@ -166,31 +148,33 @@ class RankRuntime:
         if ex is None:
             raise RuntimeCommError(
                 f"sync {sync_id}: exchange_finish without a begin")
+        self._in_halo(ex.finish)
+
+    def _in_halo(self, step) -> None:
+        """Run *step* with the live-health state set to halo."""
         tele = self.comm.telemetry
         if tele is None:
-            ex.finish()
+            step()
             return
         prev = tele.enter(3)  # S_HALO
         try:
-            ex.finish()
+            step()
         finally:
             tele.enter(prev)
-            tele.push_event(self.comm.rank, "exchange", None, 0, sync_id)
 
     def pipe_recv(self, pipe_id: int, *arrays: OffsetArray) -> None:
         """Blocking receive of pipelined new values from minus neighbors."""
         pipe = self.plan.pipes[int(pipe_id) - 1]
         specs = self._pipe_specs(pipe, arrays)
         pool = shared_pool()
-        trace = self.comm.trace
-        timed = trace.enabled
-        t0 = trace.now() if timed else 0.0
+        emit = self.comm.emit
+        t0 = perf_counter_ns()
         for g in pipe.pipeline_dims:
             tag = _PIPE_TAG_BASE + int(pipe_id) * 8 + g
             payload = self.cart.recv_dir(g, -1, tag)
             if payload is None:
                 continue
-            tu0 = trace.now() if timed else 0.0
+            tu0 = perf_counter_ns()
             nbytes = 0
             for spec, section in zip(specs, payload):
                 ranges = spec.recv_ranges(g, -1)
@@ -198,36 +182,26 @@ class RankRuntime:
                     spec.array.set_section(ranges, section)
                     nbytes += int(section.nbytes)
                 pool.release(section)
-            if timed:
-                trace.record(TraceEvent(self.comm.rank, "halo_unpack",
-                                        None, nbytes, tag,
-                                        t0=tu0, t1=trace.now()))
-        if timed:
-            trace.record(TraceEvent(self.comm.rank, "pipeline_recv", None,
-                                    0, int(pipe_id), t0=t0, t1=trace.now()))
+            emit("halo_unpack", None, nbytes, tag, 0, tu0)
+        emit("pipeline_recv", None, 0, int(pipe_id), 0, t0)
 
     def pipe_send(self, pipe_id: int, *arrays: OffsetArray) -> None:
         """Ship freshly computed plus-edge layers down the pipeline."""
         pipe = self.plan.pipes[int(pipe_id) - 1]
         specs = self._pipe_specs(pipe, arrays)
         pool = shared_pool()
-        trace = self.comm.trace
-        timed = trace.enabled
+        emit = self.comm.emit
         for g in pipe.pipeline_dims:
             neighbor = self.cart.neighbor(g, +1)
             if neighbor is None:
                 continue
             tag = _PIPE_TAG_BASE + int(pipe_id) * 8 + g
-            tp0 = trace.now() if timed else 0.0
+            tp0 = perf_counter_ns()
             payload = [spec.send_section(g, +1, pool) for spec in specs]
-            if timed:
-                trace.record(TraceEvent(
-                    self.comm.rank, "halo_pack", None,
-                    sum(int(b.nbytes) for b in payload), tag,
-                    t0=tp0, t1=trace.now()))
+            emit("halo_pack", None, sum(int(b.nbytes) for b in payload),
+                 tag, 0, tp0)
             # marker event only (comm.send records the payload bytes)
-            trace.record(TraceEvent(
-                self.comm.rank, "pipeline_send", neighbor, 0, tag))
+            emit("pipeline_send", neighbor, 0, tag)
             self.cart.send_dir(g, +1, payload, tag, move=True)
 
     def _pipe_specs(self, pipe, arrays) -> list[HaloSpec]:
@@ -317,9 +291,7 @@ class RankRuntime:
         restore from.
         """
         it = int(it)
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.frame(it)
+        self.comm.emit("frame", None, 0, it)
         ck = self.checkpoints
         if ck is not None:
             restore = ck.restore_frame
@@ -354,20 +326,14 @@ class RankRuntime:
         return named, commons
 
     def _save(self, frame: int, arrays) -> None:
-        trace = self.comm.trace
-        t0 = trace.now()
+        t0 = perf_counter_ns()
         named, commons = self._snapshot(arrays)
         nbytes = self.checkpoints.save(self.comm.rank, frame, named,
                                        commons)
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.checkpoint(frame)
-        trace.record(TraceEvent(self.comm.rank, "checkpoint", None,
-                                nbytes, frame, t0=t0, t1=trace.now()))
+        self.comm.emit("checkpoint", None, nbytes, frame, 0, t0)
 
     def _restore(self, frame: int, arrays) -> None:
-        trace = self.comm.trace
-        t0 = trace.now()
+        t0 = perf_counter_ns()
         state = self.checkpoints.load(self.comm.rank)
         by_name = {arr.name: arr for arr in arrays
                    if isinstance(arr, OffsetArray)}
@@ -395,9 +361,4 @@ class RankRuntime:
                 self._ctx.commons[block][pos] = saved.item()
             nbytes += saved.nbytes
         self._restored = True
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.push_event(self.comm.rank, "restore", None, nbytes,
-                            frame)
-        trace.record(TraceEvent(self.comm.rank, "restore", None, nbytes,
-                                frame, t0=t0, t1=trace.now()))
+        self.comm.emit("restore", None, nbytes, frame, 0, t0)

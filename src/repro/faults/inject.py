@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from time import perf_counter_ns
 
 from repro.errors import InjectedFaultError
 from repro.faults.plan import MESSAGE_FAULTS, FaultEvent, FaultPlan
-from repro.runtime.trace import Trace, TraceEvent
 
 
 def _payload_nbytes(payload) -> int:
@@ -70,8 +70,9 @@ class FaultInjector:
         # rank runs its own injector replica in its own process
         self._ids = itertools.count((salt << 40) + 1)
         self._fired: list[dict] = []
-        self._trace: Trace | None = None
-        self._telemetry = None
+        #: rank -> that rank's event sink (``Communicator.emit``) in the
+        #: current attempt; ranks without one record nothing
+        self._emit: dict[int, object] = {}
         self._msg_events: dict[int, list[FaultEvent]] = {}
         self._frame_events: dict[int, list[FaultEvent]] = {}
         self._armed: dict[int, bool] = {}  # id(event) -> not yet fired
@@ -86,13 +87,12 @@ class FaultInjector:
 
     # -- wiring ----------------------------------------------------------------
 
-    def attach(self, trace: Trace, telemetry=None) -> None:
-        """Point fault markers at the current attempt's trace (and,
-        optionally, at a live-telemetry sink whose flight recorder gets
-        the same fault marks)."""
+    def bind(self, rank: int, emit) -> None:
+        """Record *rank*'s fault marks through *emit* (its
+        ``Communicator.emit``); every new attempt's communicator
+        rebinds."""
         with self._lock:
-            self._trace = trace
-            self._telemetry = telemetry
+            self._emit[rank] = emit
 
     def in_flight(self) -> int:
         """Delayed messages held outside any mailbox (deadlock-detector
@@ -135,18 +135,10 @@ class FaultInjector:
 
     def _record(self, rank: int, kind: str, peer: int | None, nbytes: int,
                 tag: int | None = None, *, wait_s: float = 0.0,
-                t0: float | None = None) -> None:
-        telemetry = getattr(self, "_telemetry", None)
-        if telemetry is not None:
-            telemetry.push_event(rank, kind, peer, nbytes, tag,
-                                 extra=int(wait_s * 1e9))
-        trace = self._trace
-        if trace is None:
-            return
-        t1 = trace.now()
-        trace.record(TraceEvent(rank, kind, peer, nbytes, tag,
-                                wait_s=wait_s,
-                                t0=t1 if t0 is None else t0, t1=t1))
+                t0_ns: int | None = None) -> None:
+        emit = self._emit.get(rank)
+        if emit is not None:
+            emit(kind, peer, nbytes, tag, int(wait_s * 1e9), t0_ns)
 
     # -- hooks -----------------------------------------------------------------
 
@@ -244,10 +236,9 @@ class FaultInjector:
                 self.on_crash(reason)  # flushes telemetry, then SIGKILL
             raise InjectedFaultError(reason)
         if straggle is not None and straggle.seconds > 0:
-            trace = self._trace
-            t0 = trace.now() if trace is not None else 0.0
+            t0 = perf_counter_ns()
             time.sleep(straggle.seconds)
             self._record(rank, "fault_straggler", None, 0, frame,
-                         wait_s=straggle.seconds, t0=t0)
+                         wait_s=straggle.seconds, t0_ns=t0)
             return straggle.seconds
         return 0.0

@@ -7,9 +7,10 @@ the per-rank timelines stack under one process and the compiler phases
 sit above them.  Every duration event is a complete span (``ph: "X"``)
 with microsecond ``ts``/``dur``.
 
-The compiler profiler and the runtime trace both timestamp against
-``time.monotonic()`` epochs, so the exporter aligns tracks on a shared
-clock by their epoch difference; the earliest event lands at ``ts = 0``.
+The compiler profiler and the runtime trace both stamp
+``perf_counter_ns`` against their own epochs, so the exporter aligns
+tracks on that one clock by their epoch difference; the earliest event
+lands at ``ts = 0``.
 """
 
 from __future__ import annotations
@@ -92,14 +93,14 @@ def build_export(*, compiler: Profiler | None = None, trace=None,
     """Assemble the standard export: compiler + runtime (+ simulated).
 
     The runtime track is aligned to the compiler's clock via the epoch
-    difference (both are ``time.monotonic()`` bases), so the exported
+    difference (both are ``perf_counter_ns`` origins), so the exported
     timeline shows compilation first and the ranks after it.
     """
     tracks: list[tuple[str, list[Span], float]] = []
     if compiler is not None:
         tracks.append(("compiler", compiler.spans(), 0.0))
     if trace is not None:
-        offset = (trace.epoch - compiler.epoch
+        offset = ((trace.epoch_ns - compiler.epoch_ns) * 1e-9
                   if compiler is not None else 0.0)
         tracks.append(("runtime", runtime_spans(trace), offset))
     if sim_spans:

@@ -1,30 +1,30 @@
 """Crash-surviving flight recorder: a bounded per-rank event ring.
 
-The lockless trace (:mod:`repro.runtime.trace`) is complete but lives in
-the worker's heap — a rank that dies by real ``SIGKILL`` takes its
-events with it.  The flight recorder keeps only the *last N* hot-path
-events per rank, but keeps them in a flat ``int64`` block that can be
-backed by ``multiprocessing.shared_memory``: the launcher (or ``acfd
-postmortem``) reads a dead worker's final moments straight out of the
-segment, no cooperation from the corpse required.
+The trace (:mod:`repro.runtime.trace`) is complete but lives in the
+worker's heap — a rank that dies by real ``SIGKILL`` takes its events
+with it.  The flight recorder keeps only the *last N* events per rank,
+but keeps them in a flat ``int64`` block that can be backed by
+``multiprocessing.shared_memory``: the launcher (or ``acfd postmortem``)
+reads a dead worker's final moments straight out of the segment, no
+cooperation from the corpse required.  A rank's event sink
+(``Communicator.emit``) pushes each trace record here as it appends it
+to the trace, so a ring tail is the last N trace records of its rank.
 
 Layout (all ``int64``, single segment)::
 
-    header[rank] = (cursor, epoch_ns)          # 2 words per rank
-    ring[rank][slot] = (kind, peer, nbytes, tag, extra, t_ns)
+    header[rank] = cursor                      # 1 word per rank
+    ring[rank][slot] = (kind, peer, nbytes, tag, extra, t0_ns, t1_ns)
 
 ``cursor`` counts pushes forever; ``cursor % slots`` is the write
-position, so readers recover both order and drop count.  ``t_ns`` is the
-writer's ``perf_counter_ns`` — rebase against ``epoch_ns`` plus the
-launcher-recorded epoch shift to land every rank on one clock (the same
-handshake the trace merge uses).  Each ring row has exactly one writer
-(its rank), so no locks; torn reads of an in-flight slot are acceptable
-for a diagnostic artifact.
+position, so readers recover both order and drop count.  The stamps are
+the writer's ``perf_counter_ns`` — one system-wide clock — so a reader
+decodes every rank against the same world epoch.  Each ring row has
+exactly one writer (its rank), so no locks; torn reads of an in-flight
+slot are acceptable for a diagnostic artifact.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +37,13 @@ KIND_NAMES = (
     "gather", "allgather", "scatter", "exchange", "halo_pack",
     "halo_unpack", "pipeline_send", "pipeline_recv", "frame",
     "checkpoint", "restore", "fault_crash", "fault_straggler",
-    "fault_drop", "fault_delay", "fault_dup", "other",
+    "fault_drop", "fault_delay", "fault_dup", "other", "overlap", "rank",
 )
 KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
-_HDRW = 2   # header words per rank: cursor, epoch_ns
-_EVW = 6    # event words: kind, peer, nbytes, tag, extra, t_ns
+_HDRW = 1   # header words per rank: cursor
+_EVW = 7    # event words: kind, peer, nbytes, tag, extra, t0_ns, t1_ns
+_OTHER = KIND_CODES["other"]
 
 
 def _untrack(shm) -> None:
@@ -91,13 +92,12 @@ class FlightEvent:
     peer: int | None
     nbytes: int
     tag: int | None
-    #: kind-dependent payload: saved zero-copy bytes for sends, wait
-    #: nanoseconds for recvs, frame number for frame/checkpoint marks
+    #: saved zero-copy bytes for sends, blocked nanoseconds otherwise
     extra: int
-    #: raw writer-clock ``perf_counter_ns`` stamp
-    t_ns: int
-    #: seconds on the launcher's epoch (filled by ``Telemetry.tails``;
-    #: raw writer-epoch seconds when no shift is known)
+    #: ``perf_counter_ns`` begin / end stamps
+    t0_ns: int
+    t1_ns: int
+    #: end stamp in seconds since the epoch the reader decoded against
     t_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -145,33 +145,29 @@ class FlightRecorder:
     def reset(self) -> None:
         self.hdr[:] = 0
         self.ring[:] = 0
-        now = time.perf_counter_ns()
-        self.hdr[:, 1] = now
 
-    def push(self, rank: int, kind: int, peer: int, nbytes: int,
-             tag: int, extra: int) -> None:
-        hdr = self.hdr[rank]
-        cur = int(hdr[0])
-        self.ring[rank, cur % self.slots] = (kind, peer, nbytes, tag,
-                                             extra, time.perf_counter_ns())
-        hdr[0] = cur + 1
+    def push(self, rank: int, rec: tuple) -> None:
+        """Write one trace record (:mod:`repro.runtime.trace` shape)
+        into *rank*'s ring."""
+        _, kind, peer, nbytes, tag, extra, t0, t1 = rec
+        cur = int(self.hdr[rank, 0])
+        self.ring[rank, cur % self.slots] = (
+            KIND_CODES.get(kind, _OTHER), -1 if peer is None else peer,
+            nbytes, -1 if tag is None else tag, extra, t0, t1)
+        self.hdr[rank, 0] = cur + 1
 
     def pushed(self, rank: int) -> int:
         """Total events ever pushed by *rank* (>= len(tail))."""
         return int(self.hdr[rank, 0])
 
-    def epoch_ns(self, rank: int) -> int:
-        return int(self.hdr[rank, 1])
-
-    def tail(self, rank: int, shift_s: float = 0.0) -> list[FlightEvent]:
-        """Decode *rank*'s ring oldest-first, rebasing timestamps to
-        ``(t_ns - epoch_ns) * 1e-9 + shift_s`` seconds."""
+    def tail(self, rank: int, epoch_ns: int = 0) -> list[FlightEvent]:
+        """Decode *rank*'s ring oldest-first; ``t_s`` is the end stamp
+        in seconds since *epoch_ns*."""
         cur = int(self.hdr[rank, 0])
-        epoch = int(self.hdr[rank, 1])
         n = min(cur, self.slots)
         out: list[FlightEvent] = []
         for i in range(cur - n, cur):
-            kind, peer, nbytes, tag, extra, t_ns = \
+            kind, peer, nbytes, tag, extra, t0, t1 = \
                 (int(v) for v in self.ring[rank, i % self.slots])
             if kind <= 0 or kind >= len(KIND_NAMES):
                 continue  # empty or torn slot
@@ -180,8 +176,8 @@ class FlightRecorder:
                 peer=None if peer < 0 else peer,
                 nbytes=nbytes,
                 tag=None if tag < 0 else tag,
-                extra=extra, t_ns=t_ns,
-                t_s=(t_ns - epoch) * 1e-9 + shift_s))
+                extra=extra, t0_ns=t0, t1_ns=t1,
+                t_s=(t1 - epoch_ns) * 1e-9))
         return out
 
     def close(self, unlink: bool = False) -> None:

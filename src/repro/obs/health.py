@@ -10,11 +10,13 @@ the launcher (and ``acfd top`` in another terminal) reads it even when
 a worker is wedged in a syscall or already dead.
 
 :class:`Telemetry` bundles a board with a :class:`~repro.obs.flight.
-FlightRecorder` and the per-rank epoch shifts the launcher learns from
-the procexec hello handshake, so samples and flight tails come out
-rebased onto one clock.  The per-rank writer handle
-(:class:`RankTelemetry`) is what the runtime holds on the hot path: a
-handful of cached numpy row views, no locks, no allocation.
+FlightRecorder` and the world's one ``epoch_ns``; every stamp is
+``perf_counter_ns`` on the system-wide monotonic clock, so samples and
+flight tails of every rank decode against that epoch alike.  The
+per-rank writer handle (:class:`RankTelemetry`) is what the runtime
+holds: its :meth:`~RankTelemetry.record` takes each trace record from
+the rank's event sink, derives the board counters from it and pushes it
+into the flight ring — no locks, one writer per row.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 import numpy as np
 
-from repro.obs.flight import (FlightEvent, FlightRecorder, KIND_CODES,
-                              _attach_shm, _create_shm, _unlink_shm)
+from repro.obs.flight import (FlightEvent, FlightRecorder, _attach_shm,
+                              _create_shm, _unlink_shm)
 
 __all__ = [
     "HealthBoard", "HealthSample", "RankTelemetry", "Telemetry",
@@ -45,13 +48,8 @@ S_INIT, S_COMPUTE, S_BLOCKED, S_HALO, S_COLLECTIVE, S_DONE, S_FAILED = \
 
 # row slot layout
 _BEAT, _STATE, _FRAME, _DEPTH, _POOL, _CKPT = range(6)
-_SENT_B, _RECV_B, _SENT_N, _RECV_N, _T_NS, _EPOCH = range(6, 12)
-_SLOTS = 12
-
-_K_SEND = KIND_CODES["send"]
-_K_RECV = KIND_CODES["recv"]
-_K_FRAME = KIND_CODES["frame"]
-_K_CKPT = KIND_CODES["checkpoint"]
+_SENT_B, _RECV_B, _SENT_N, _RECV_N, _T_NS = range(6, 11)
+_SLOTS = 11
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,9 @@ class HealthSample:
     recv_bytes: int
     sent_msgs: int
     recv_msgs: int
-    #: raw writer-clock stamp of the last beat
+    #: ``perf_counter_ns`` stamp of the last beat
     t_ns: int
-    #: last beat in seconds on the launcher's epoch (shift-rebased)
+    #: last beat in seconds since the world epoch
     t_s: float = 0.0
     #: seconds since the last beat, on the reader's clock
     age_s: float = 0.0
@@ -91,7 +89,7 @@ class HealthSample:
 
 
 class HealthBoard:
-    """``(size, 12)`` int64 heartbeat grid, local or shared-memory."""
+    """``(size, 11)`` int64 heartbeat grid, local or shared-memory."""
 
     SLOTS = _SLOTS
 
@@ -124,11 +122,9 @@ class HealthBoard:
         self.cells[:] = 0
         self.cells[:, _FRAME] = -1
         self.cells[:, _CKPT] = -1
-        now = time.perf_counter_ns()
-        self.cells[:, _T_NS] = now
-        self.cells[:, _EPOCH] = now
+        self.cells[:, _T_NS] = perf_counter_ns()
 
-    def sample(self, rank: int, shift_s: float = 0.0) -> HealthSample:
+    def sample(self, rank: int, epoch_ns: int = 0) -> HealthSample:
         row = [int(v) for v in self.cells[rank]]
         state = row[_STATE]
         t_ns = row[_T_NS]
@@ -141,9 +137,8 @@ class HealthBoard:
             ckpt_frame=None if row[_CKPT] < 0 else row[_CKPT],
             sent_bytes=row[_SENT_B], recv_bytes=row[_RECV_B],
             sent_msgs=row[_SENT_N], recv_msgs=row[_RECV_N],
-            t_ns=t_ns,
-            t_s=(t_ns - row[_EPOCH]) * 1e-9 + shift_s,
-            age_s=(time.perf_counter_ns() - t_ns) * 1e-9)
+            t_ns=t_ns, t_s=(t_ns - epoch_ns) * 1e-9,
+            age_s=(perf_counter_ns() - t_ns) * 1e-9)
 
     def close(self, unlink: bool = False) -> None:
         self.cells = None
@@ -158,14 +153,13 @@ class HealthBoard:
 
 
 class RankTelemetry:
-    """One rank's writer handle: board row + flight ring views.
+    """One rank's writer handle: board row + flight ring.
 
-    Held by the Communicator on the hot path — every method is a few
-    numpy element writes, no locks.  Exactly one writer per rank.
+    Held by the Communicator — every method is a few numpy element
+    writes, no locks.  Exactly one writer per rank.
     """
 
-    __slots__ = ("rank", "_board", "_flight", "_row", "_hdr", "_ring",
-                 "_slots", "_mailbox", "_pool")
+    __slots__ = ("rank", "_board", "_flight", "_row", "_mailbox", "_pool")
 
     def __init__(self, rank: int, board: HealthBoard,
                  flight: FlightRecorder):
@@ -173,21 +167,13 @@ class RankTelemetry:
         self._board = board
         self._flight = flight
         self._row = board.cells[rank]
-        self._hdr = flight.hdr[rank]
-        self._ring = flight.ring[rank]
-        self._slots = flight.slots
         self._mailbox = None
         self._pool = None
 
-    def start(self, epoch_ns: int) -> None:
-        """Stamp the writer's clock epoch and enter the compute state
-        (call once per attempt, after the launcher reset the board)."""
-        row = self._row
-        row[_EPOCH] = epoch_ns
-        self._hdr[1] = epoch_ns
-        row[_STATE] = S_COMPUTE
-        row[_T_NS] = time.perf_counter_ns()
-        row[_BEAT] += 1
+    def start(self) -> None:
+        """Enter the compute state (call once per attempt, after the
+        launcher reset the board)."""
+        self.enter(S_COMPUTE)
 
     def bind(self, mailbox=None, pool=None) -> None:
         """Attach the objects whose occupancy each beat samples."""
@@ -203,68 +189,43 @@ class RankTelemetry:
         if self._pool is not None:
             row[_POOL] = self._pool.outstanding
         row[_STATE] = state
-        row[_T_NS] = time.perf_counter_ns()
+        row[_T_NS] = perf_counter_ns()
         row[_BEAT] += 1
         return prev
 
-    def sent(self, dest: int, nbytes: int, tag: int,
-             saved: int = 0) -> None:
+    def record(self, rec: tuple) -> None:
+        """Take one trace record from the rank's event sink: bump the
+        board counters it implies, then push it into the flight ring."""
+        _, kind, _, nbytes, tag, _, _, t1 = rec
         row = self._row
-        row[_SENT_B] += nbytes
-        row[_SENT_N] += 1
-        row[_T_NS] = time.perf_counter_ns()
-        self._push(_K_SEND, dest, nbytes, tag, saved)
-
-    def recvd(self, source: int, nbytes: int, tag: int,
-              waited: float) -> None:
-        row = self._row
-        row[_RECV_B] += nbytes
-        row[_RECV_N] += 1
-        row[_T_NS] = time.perf_counter_ns()
-        self._push(_K_RECV, source, nbytes, tag, int(waited * 1e9))
-
-    def frame(self, it: int) -> None:
-        row = self._row
-        row[_FRAME] = it
-        row[_T_NS] = time.perf_counter_ns()
-        row[_BEAT] += 1
-        self._push(_K_FRAME, -1, 0, -1, it)
-
-    def checkpoint(self, frame: int) -> None:
-        self._row[_CKPT] = frame
-        self._push(_K_CKPT, -1, 0, -1, frame)
+        if kind == "send":
+            row[_SENT_B] += nbytes
+            row[_SENT_N] += 1
+        elif kind == "recv":
+            row[_RECV_B] += nbytes
+            row[_RECV_N] += 1
+        elif kind == "frame":
+            row[_FRAME] = tag
+            row[_BEAT] += 1
+        elif kind == "checkpoint":
+            row[_CKPT] = tag
+        row[_T_NS] = t1
+        self._flight.push(self.rank, rec)
 
     def finish(self, ok: bool) -> None:
         row = self._row
         row[_STATE] = S_DONE if ok else S_FAILED
-        row[_T_NS] = time.perf_counter_ns()
+        row[_T_NS] = perf_counter_ns()
         row[_BEAT] += 1
-
-    def _push(self, kind: int, peer: int, nbytes: int, tag: int,
-              extra: int) -> None:
-        hdr = self._hdr
-        cur = int(hdr[0])
-        self._ring[cur % self._slots] = (kind, peer, nbytes, tag, extra,
-                                         time.perf_counter_ns())
-        hdr[0] = cur + 1
-
-    def push_event(self, rank: int, kind: str, peer=None, nbytes: int = 0,
-                   tag=None, extra: int = 0) -> None:
-        """Record an arbitrary named event (injector hook; *rank* is
-        accepted for interface parity with :class:`Telemetry` but this
-        handle always writes its own ring)."""
-        self._push(KIND_CODES.get(kind, KIND_CODES["other"]),
-                   -1 if peer is None else peer, nbytes,
-                   -1 if tag is None else tag, extra)
 
     def release(self) -> None:
         """Drop the numpy views so the backing segment can close."""
-        self._row = self._hdr = self._ring = None
+        self._row = None
         self._board = self._flight = None
 
 
 class Telemetry:
-    """Board + flight recorder + clock shifts for one world.
+    """Board + flight recorder + the world epoch.
 
     Created by whoever launches the world (CLI, chaos harness, tests);
     ``shared=True`` backs both structures with shared memory so process
@@ -278,9 +239,9 @@ class Telemetry:
         self.shared = shared
         self.board = HealthBoard(size, shared=shared)
         self.flight = FlightRecorder(size, slots, shared=shared)
-        #: rank -> seconds to add to writer-epoch-relative times to land
-        #: them on the launcher's epoch (0.0 for thread worlds)
-        self.shifts: dict[int, float] = {}
+        #: ``perf_counter_ns`` origin of sample and tail seconds (the
+        #: world trace's epoch once :meth:`begin` ran)
+        self.epoch_ns = perf_counter_ns()
         self._views: dict[int, RankTelemetry] = {}
         self._owner = True
 
@@ -292,9 +253,7 @@ class Telemetry:
         self.board.reset()
         self.flight.reset()
         if epoch_ns is not None:
-            self.board.cells[:, _EPOCH] = epoch_ns
-            self.flight.hdr[:, 1] = epoch_ns
-        self.shifts.clear()
+            self.epoch_ns = epoch_ns
 
     def close(self, unlink: bool | None = None) -> None:
         for view in self._views.values():
@@ -313,11 +272,6 @@ class Telemetry:
             view = RankTelemetry(rank, self.board, self.flight)
             self._views[rank] = view
         return view
-
-    def push_event(self, rank: int, kind: str, peer=None, nbytes: int = 0,
-                   tag=None, extra: int = 0) -> None:
-        self.rank_view(rank).push_event(rank, kind, peer, nbytes, tag,
-                                        extra)
 
     # -- process-worker attach -------------------------------------------------
 
@@ -348,7 +302,7 @@ class Telemetry:
         tele.board = HealthBoard.attach(spec["board"], spec["size"])
         tele.flight = FlightRecorder.attach(spec["flight"], spec["size"],
                                             spec["slots"])
-        tele.shifts = {}
+        tele.epoch_ns = perf_counter_ns()
         tele._views = {}
         tele._owner = False
         return tele
@@ -356,13 +310,12 @@ class Telemetry:
     # -- readers ---------------------------------------------------------------
 
     def samples(self) -> list[HealthSample]:
-        return [self.board.sample(r, self.shifts.get(r, 0.0))
+        return [self.board.sample(r, self.epoch_ns)
                 for r in range(self.size)]
 
     def tails(self) -> dict[int, list[FlightEvent]]:
-        """Per-rank flight tails, timestamps rebased via the recorded
-        epoch shifts onto the launcher's clock."""
-        return {r: self.flight.tail(r, self.shifts.get(r, 0.0))
+        """Per-rank flight tails, seconds since the world epoch."""
+        return {r: self.flight.tail(r, self.epoch_ns)
                 for r in range(self.size)}
 
     def done(self) -> bool:

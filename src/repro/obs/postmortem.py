@@ -3,8 +3,8 @@
 When a run dies — deadlock, injected crash, real ``SIGKILL``, or an
 exhausted recovery budget — :func:`build_postmortem` correlates what the
 live telemetry captured: per-rank heartbeat rows name the divergence
-frame and each rank's final state; flight-recorder tails (rebased onto
-the launcher's clock via the epoch-shift handshake) show every rank's
+frame and each rank's final state; flight-recorder tails (the last
+trace records of each rank, on the world's one clock) show every rank's
 final moments; the checkpoint store names the latest frame all ranks
 share; the fault injector lists which planned events actually fired;
 and the deadlock detector's wait-for cycle is lifted out of the error

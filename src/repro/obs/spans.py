@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import contextvars
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
@@ -52,14 +52,16 @@ class Profiler:
 
     def __init__(self, name: str = "acfd") -> None:
         self.name = name
-        self.epoch = time.monotonic()
+        #: ``perf_counter_ns`` origin of span times — the runtime
+        #: trace's clock, so exports align the two by epoch difference
+        self.epoch_ns = perf_counter_ns()
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._spans: list[Span] = []
 
     def now(self) -> float:
         """Seconds since this profiler's epoch."""
-        return time.monotonic() - self.epoch
+        return (perf_counter_ns() - self.epoch_ns) * 1e-9
 
     def add(self, span: Span) -> None:
         with self._lock:

@@ -50,7 +50,7 @@ from time import perf_counter_ns
 import numpy as np
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
-from repro.runtime.trace import Trace, TraceEvent
+from repro.runtime.trace import Trace
 
 #: Collective operations reserve tags at and above this value.
 _COLLECTIVE_TAG_BASE = 1 << 20
@@ -60,10 +60,10 @@ _COLLECTIVE_TAG_BASE = 1 << 20
 _DETECT_INTERVAL = 0.25
 
 #: A receiver stays unregistered with the deadlock detector for this long
-#: before declaring itself blocked: microsecond-scale waits (the hot path)
-#: never touch the shared detector lock, and a genuine deadlock is still
-#: reported within milliseconds.
-_DETECT_GRACE = 0.005
+#: (nanoseconds) before declaring itself blocked: microsecond-scale waits
+#: (the hot path) never touch the shared detector lock, and a genuine
+#: deadlock is still reported within milliseconds.
+_DETECT_GRACE_NS = 5_000_000
 
 #: Reduction operators.
 REDUCE_OPS = {
@@ -378,10 +378,9 @@ class _Mailbox:
     def get(self, source: int | None, tag: int | None, timeout: float | None,
             failed: threading.Event,
             waiter: tuple[DeadlockDetector, int, str] | None = None,
-            ) -> tuple[_Message, float]:
-        """Blocking matched receive; returns (message, seconds-in-wait)."""
-        t0 = time.monotonic()
-        deadline = None if timeout is None else t0 + timeout
+            ) -> tuple[_Message, int]:
+        """Blocking matched receive; returns (message, nanoseconds in
+        wait)."""
         detector = token = None
         rank = -1
         # fast path + grace period: if the message is already queued or
@@ -389,19 +388,22 @@ class _Mailbox:
         with self._cond:
             msg = self._take(source, tag)
             if msg is not None:
-                return msg, 0.0
-            grace_end = t0 + _DETECT_GRACE
+                return msg, 0
+            t0 = perf_counter_ns()
+            deadline = None if timeout is None else t0 + int(timeout * 1e9)
+            grace_end = t0 + _DETECT_GRACE_NS
             while True:
                 if failed.is_set():
                     break
-                now = time.monotonic()
+                now = perf_counter_ns()
                 if now >= grace_end or \
                         (deadline is not None and now >= deadline):
                     break
-                self._cond.wait(min(grace_end, deadline or grace_end) - now)
+                self._cond.wait(
+                    (min(grace_end, deadline or grace_end) - now) * 1e-9)
                 msg = self._take(source, tag)
                 if msg is not None:
-                    return msg, time.monotonic() - t0
+                    return msg, perf_counter_ns() - t0
         if waiter is not None:
             detector, rank, op = waiter
             token = detector.block(rank, op, source, tag)
@@ -413,21 +415,20 @@ class _Mailbox:
                     if msg is not None:
                         if token is not None:
                             token.satisfied = True
-                        return msg, time.monotonic() - t0
+                        return msg, perf_counter_ns() - t0
                     if detector is not None and detector.diagnosis is not None:
                         raise RuntimeDeadlockError(detector.diagnosis)
                     if failed.is_set():
                         raise RuntimeCommError(
                             "another rank failed while this rank was "
                             "receiving")
-                    now = time.monotonic()
+                    now = perf_counter_ns()
                     if deadline is not None and now >= deadline:
                         timed_out = True
                     else:
-                        remaining = (None if deadline is None
-                                     else deadline - now)
-                        slice_ = (_DETECT_INTERVAL if remaining is None
-                                  else min(_DETECT_INTERVAL, remaining))
+                        slice_ = (_DETECT_INTERVAL if deadline is None
+                                  else min(_DETECT_INTERVAL,
+                                           (deadline - now) * 1e-9))
                         self._cond.wait(slice_)
                 # outside the mailbox lock (lock order: detector first)
                 if timed_out:
@@ -503,12 +504,33 @@ class Communicator:
         #: deliveries; None on the (hot) fault-free path
         self._injector = injector
         self._collective_seq = 0
-        # bound append for the hot-path raw-tuple records; safe to cache
-        # because Trace.clear() empties the list in place
+        # bound append for the raw records; safe to cache because
+        # Trace.clear() empties the list in place
         self._tappend = trace.events.append
         #: this rank's live-health writer (repro.obs.health
         #: RankTelemetry); None on the fault-free hot path
         self.telemetry = telemetry
+        if injector is not None:
+            injector.bind(rank, self.emit)
+
+    def emit(self, kind: str, peer: int | None = None, nbytes: int = 0,
+             tag: int | None = None, extra: int = 0,
+             t0_ns: int | None = None) -> None:
+        """Record one event ending now — this rank's only event sink.
+
+        The record goes to the trace and, with telemetry attached, the
+        same tuple into the flight ring and board counters.  ``t0_ns``
+        (a ``perf_counter_ns()`` stamp) makes it a span; None records a
+        point event.  ``extra`` is saved bytes for ``send``, blocked
+        nanoseconds for every other kind (see :mod:`repro.runtime.trace`).
+        """
+        t1 = perf_counter_ns()
+        rec = (self.rank, kind, peer, nbytes, tag, extra,
+               t1 if t0_ns is None else t0_ns, t1)
+        if self._trace.enabled:
+            self._tappend(rec)
+        if self.telemetry is not None:
+            self.telemetry.record(rec)
 
     # -- point-to-point --------------------------------------------------------
 
@@ -521,19 +543,13 @@ class Communicator:
         self._check_rank(dest)
         self._check_tag(tag)
         payload = obj if move else _copy_payload(obj)
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
-            # latency-critical path: raw-tuple append (atomic under the
-            # GIL) with an absolute ns stamp — snapshot() normalizes;
-            # scalar sizing stays inline to skip the _payload_bytes call
+        if self._trace.enabled or self.telemetry is not None:
+            # latency-critical path: scalar sizing stays inline to skip
+            # the _payload_bytes call
             cls = obj.__class__
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(obj)
-            if self._trace.enabled:
-                self._tappend((self.rank, "send", dest, nbytes, tag,
-                               nbytes if move else 0, perf_counter_ns()))
-            if tele is not None:
-                tele.sent(dest, nbytes, tag, nbytes if move else 0)
+            self.emit("send", dest, nbytes, tag, nbytes if move else 0)
         message = _Message(self.rank, tag, payload)
         if self._injector is not None and self._injector.on_send(
                 self.rank, dest, tag, message, self._mailboxes[dest]):
@@ -542,22 +558,18 @@ class Communicator:
 
     def recv(self, source: int | None = None, tag: int | None = None):
         """Blocking receive; ``None`` matches any source / any tag."""
+        t0 = perf_counter_ns()
         if source is not None:
             self._check_rank(source)
         if tag is not None:
             self._check_tag(tag)
         msg, waited = self._get(source, tag, "recv")
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
+        if self._trace.enabled or self.telemetry is not None:
             payload = msg.payload
             cls = payload.__class__
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(payload)
-            if self._trace.enabled:
-                self._tappend((self.rank, "recv", msg.source, nbytes,
-                               msg.tag, waited, perf_counter_ns()))
-            if tele is not None:
-                tele.recvd(msg.source, nbytes, msg.tag, waited)
+            self.emit("recv", msg.source, nbytes, msg.tag, waited, t0)
         return msg.payload
 
     def isend(self, dest: int, obj, tag: int = 0, *,
@@ -588,7 +600,7 @@ class Communicator:
         return self._mailboxes[self.rank].probe(source, tag)
 
     def _get(self, source: int | None, tag: int | None,
-             op: str) -> tuple[_Message, float]:
+             op: str) -> tuple[_Message, int]:
         waiter = (None if self._detector is None
                   else (self._detector, self.rank, op))
         box = self._mailboxes[self.rank]
@@ -612,7 +624,7 @@ class Communicator:
 
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         tele = self.telemetry
         prev = tele.enter(4) if tele is not None else None  # S_COLLECTIVE
         token = (self._detector.block(self.rank, "barrier")
@@ -632,28 +644,14 @@ class Communicator:
                 self._detector.unblock(self.rank)
             if tele is not None:
                 tele.enter(prev)
-        self._record_op("barrier", None, 0, t0, time.monotonic() - t0)
-
-    def _record_op(self, kind: str, peer: int | None, nbytes: int,
-                   t0_mono: float, waited: float) -> None:
-        """Record a completed operation as a span ending now."""
-        if self.telemetry is not None:
-            self.telemetry.push_event(self.rank, kind, peer, nbytes,
-                                      extra=int(waited * 1e9))
-        if not self._trace.enabled:
-            return
-        epoch = self._trace.epoch
-        now = time.monotonic()
-        self._trace.record(TraceEvent(self.rank, kind, peer, nbytes,
-                                      wait_s=waited,
-                                      t0=t0_mono - epoch, t1=now - epoch))
+        self.emit("barrier", None, 0, None, perf_counter_ns() - t0, t0)
 
     def bcast(self, obj=None, root: int = 0):
         """Broadcast from *root*; all ranks return the object."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         result, waited, nbytes = self._bcast_impl(obj, root, tag)
-        self._record_op("bcast", root, nbytes, t0, waited)
+        self.emit("bcast", root, nbytes, None, waited, t0)
         return result
 
     def _bcast_impl(self, obj, root: int, tag: int):
@@ -665,7 +663,7 @@ class Communicator:
         """
         size = self.size
         relative = (self.rank - root) % size
-        waited = 0.0
+        waited = 0
         nbytes = 0
         mask = 1
         while mask < size:
@@ -690,10 +688,10 @@ class Communicator:
         """Reduce to *root*; other ranks return None."""
         reducer = self._op(op)
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         acc, waited, nbytes = self._reduce_impl(value, reducer, root, tag,
                                                 "reduce")
-        self._record_op("reduce", root, nbytes, t0, waited)
+        self.emit("reduce", root, nbytes, None, waited, t0)
         return acc
 
     def _reduce_impl(self, value, reducer, root: int, tag: int, op: str):
@@ -708,7 +706,7 @@ class Communicator:
         size = self.size
         relative = (self.rank - root) % size
         acc = _copy_payload(value)
-        waited = 0.0
+        waited = 0
         nbytes = 0
         mask = 1
         while mask < size:
@@ -730,27 +728,27 @@ class Communicator:
         """Reduce + broadcast; all ranks return the reduced value."""
         reducer = self._op(op)
         up_tag, down_tag = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         acc, waited_up, up_bytes = self._reduce_impl(value, reducer, 0,
                                                      up_tag, "allreduce")
         result, waited_down, down_bytes = self._bcast_impl(acc, 0, down_tag)
-        self._record_op("allreduce", None, up_bytes + down_bytes, t0,
-                        waited_up + waited_down)
+        self.emit("allreduce", None, up_bytes + down_bytes, None,
+                  waited_up + waited_down, t0)
         return result
 
     def gather(self, value, root: int = 0):
         """Gather to *root* (list indexed by rank); others return None."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         result, waited, nbytes = self._gather_impl(value, root, tag)
-        self._record_op("gather", root, nbytes, t0, waited)
+        self.emit("gather", root, nbytes, None, waited, t0)
         return result
 
     def _gather_impl(self, value, root: int, tag: int):
         if self.rank == root:
             out: list = [None] * self.size
             out[root] = _copy_payload(value)
-            waited = 0.0
+            waited = 0
             nbytes = 0
             for _ in range(self.size - 1):
                 msg, w = self._get(None, tag, "gather")
@@ -760,23 +758,23 @@ class Communicator:
             return out, waited, nbytes
         self._mailboxes[root].put(
             _Message(self.rank, tag, _copy_payload(value)))
-        return None, 0.0, _payload_bytes(value)
+        return None, 0, _payload_bytes(value)
 
     def allgather(self, value) -> list:
         """Gather + broadcast — one synchronization, one trace event."""
         up_tag, down_tag = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         gathered, waited_up, up_bytes = self._gather_impl(value, 0, up_tag)
         result, waited_down, down_bytes = self._bcast_impl(gathered, 0,
                                                            down_tag)
-        self._record_op("allgather", None, up_bytes + down_bytes, t0,
-                        waited_up + waited_down)
+        self.emit("allgather", None, up_bytes + down_bytes, None,
+                  waited_up + waited_down, t0)
         return result
 
     def scatter(self, values=None, root: int = 0):
         """Scatter a per-rank list from *root*."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         if self.rank == root:
             if values is None or len(values) != self.size:
                 raise RuntimeCommError(
@@ -787,11 +785,11 @@ class Communicator:
                     nbytes += _payload_bytes(values[dest])
                     self._mailboxes[dest].put(
                         _Message(root, tag, _copy_payload(values[dest])))
-            self._record_op("scatter", root, nbytes, t0, 0.0)
+            self.emit("scatter", root, nbytes, None, 0, t0)
             return values[root]
         msg, waited = self._get(root, tag, "scatter")
-        self._record_op("scatter", root, _payload_bytes(msg.payload),
-                        t0, waited)
+        self.emit("scatter", root, _payload_bytes(msg.payload), None,
+                  waited, t0)
         return msg.payload
 
     # -- misc -------------------------------------------------------------------------

@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 import numpy as np
 
 from repro.errors import RuntimeCommError
 from repro.interp.values import OffsetArray
 from repro.runtime.cart import CartComm
-from repro.runtime.trace import TraceEvent
 
 #: Tag space for halo messages: tag = base + point_id * 64 + dim * 4
 #: + (direction + 1).
@@ -239,8 +239,8 @@ class HaloExchanger:
         #: in-flight receives posted by begin(), drained by finish():
         #: (dim, direction, Request) triples, or None when idle
         self._pending: list[tuple[int, int, object]] | None = None
-        self._t_begin0 = 0.0
-        self._t_begin1 = 0.0
+        self._t_begin0 = 0
+        self._t_begin1 = 0
 
     def exchange(self) -> None:
         """One aggregated exchange: one message per neighbor, all arrays.
@@ -256,23 +256,18 @@ class HaloExchanger:
         timeline can separate halo copying from blocked waiting.
         """
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        tx0 = trace.now() if timed else 0.0
+        tx0 = perf_counter_ns()
         for dim in range(self.cart.ndims):
             recvs: list[int] = []
             for direction in (-1, 1):
                 if self.cart.neighbor(dim, direction) is None:
                     continue
-                tp0 = trace.now() if timed else 0.0
+                tp0 = perf_counter_ns()
                 payload = [spec.send_section(dim, direction, self.pool)
                            for spec in self.specs]
-                if timed:
-                    trace.record(TraceEvent(
-                        comm.rank, "halo_pack", None,
-                        sum(int(b.nbytes) for b in payload),
-                        halo_tag(self.point_id, dim, direction),
-                        t0=tp0, t1=trace.now()))
+                comm.emit("halo_pack", None,
+                          sum(int(b.nbytes) for b in payload),
+                          halo_tag(self.point_id, dim, direction), 0, tp0)
                 self.cart.send_dir(dim, direction, payload,
                                    halo_tag(self.point_id, dim, direction),
                                    move=True)
@@ -285,9 +280,7 @@ class HaloExchanger:
                     dim, direction,
                     halo_tag(self.point_id, dim, -direction))
                 self._unpack(dim, direction, payload)
-        if timed:
-            trace.record(TraceEvent(comm.rank, "exchange", None, 0,
-                                    self.point_id, t0=tx0, t1=trace.now()))
+        comm.emit("exchange", None, 0, self.point_id, 0, tx0)
 
     def begin(self) -> None:
         """Post the whole aggregated exchange without completing it.
@@ -315,9 +308,7 @@ class HaloExchanger:
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} begun twice without finish")
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        self._t_begin0 = trace.now() if timed else 0.0
+        self._t_begin0 = perf_counter_ns()
         pending: list[tuple[int, int, object]] = []
         for dim in range(self.cart.ndims):
             for direction in (-1, 1):
@@ -329,20 +320,17 @@ class HaloExchanger:
             for direction in (-1, 1):
                 if self.cart.neighbor(dim, direction) is None:
                     continue
-                tp0 = trace.now() if timed else 0.0
+                tp0 = perf_counter_ns()
                 payload = [spec.send_section(dim, direction, self.pool)
                            for spec in self.specs]
-                if timed:
-                    trace.record(TraceEvent(
-                        comm.rank, "halo_pack", None,
-                        sum(int(b.nbytes) for b in payload),
-                        halo_tag(self.point_id, dim, direction),
-                        t0=tp0, t1=trace.now()))
+                comm.emit("halo_pack", None,
+                          sum(int(b.nbytes) for b in payload),
+                          halo_tag(self.point_id, dim, direction), 0, tp0)
                 self.cart.isend_dir(dim, direction, payload,
                                     halo_tag(self.point_id, dim, direction),
                                     move=True)
         self._pending = pending
-        self._t_begin1 = trace.now() if timed else 0.0
+        self._t_begin1 = perf_counter_ns()
 
     def finish(self) -> None:
         """Complete a begun exchange: wait on every receive and unpack.
@@ -359,18 +347,10 @@ class HaloExchanger:
                 f"halo exchange {self.point_id} finished without begin")
         pending, self._pending = self._pending, None
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        if timed:
-            trace.record(TraceEvent(
-                comm.rank, "overlap", None, 0, self.point_id,
-                t0=self._t_begin1, t1=trace.now()))
+        comm.emit("overlap", None, 0, self.point_id, 0, self._t_begin1)
         for dim, direction, req in pending:
             self._unpack(dim, direction, req.wait())
-        if timed:
-            trace.record(TraceEvent(
-                comm.rank, "exchange", None, 0, self.point_id,
-                t0=self._t_begin0, t1=trace.now()))
+        comm.emit("exchange", None, 0, self.point_id, 0, self._t_begin0)
 
     def _unpack(self, dim: int, direction: int,
                 payload: list[np.ndarray]) -> None:
@@ -378,8 +358,7 @@ class HaloExchanger:
             raise RuntimeCommError(
                 f"halo message carries {len(payload)} sections for "
                 f"{len(self.specs)} arrays")
-        trace = self.cart.comm.trace
-        tu0 = trace.now() if trace.enabled else 0.0
+        tu0 = perf_counter_ns()
         nbytes = 0
         for spec, section in zip(self.specs, payload):
             ranges = spec.recv_ranges(dim, direction)
@@ -387,8 +366,6 @@ class HaloExchanger:
                 spec.array.set_section(ranges, section)
                 nbytes += int(section.nbytes)
             self.pool.release(section)
-        if trace.enabled:
-            trace.record(TraceEvent(
-                self.cart.comm.rank, "halo_unpack", None, nbytes,
-                halo_tag(self.point_id, dim, -direction),
-                t0=tu0, t1=trace.now()))
+        self.cart.comm.emit("halo_unpack", None, nbytes,
+                            halo_tag(self.point_id, dim, -direction), 0,
+                            tu0)

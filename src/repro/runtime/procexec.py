@@ -39,10 +39,12 @@ deadlock-diagnosis / bounded-join guarantees — behind
   is detected through its process sentinel; non-reporters past the
   deadline are killed and named, exactly like the thread executor's
   stuck ranks;
-* **trace merging**: workers stamp events on their own clock; an epoch
-  handshake at run start (:class:`repro.runtime.trace.EpochProbe`) lets
-  the launcher rebase worker events onto the caller's trace, so
-  ``acfd profile`` output is executor-agnostic.
+* **trace merging**: workers stamp events with ``perf_counter_ns`` —
+  ``CLOCK_MONOTONIC``, one system-wide clock, and every worker shares
+  the launcher's host because halos travel through shared memory — and
+  ship their raw records back with the result; the launcher appends
+  them unchanged to the caller's trace, whose one epoch decodes every
+  rank alike, so ``acfd profile`` output is executor-agnostic.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.runtime.comm import (Communicator, _Mailbox, _Message,
                                 _payload_bytes, _WaitState, find_wait_cycle,
                                 format_rank_states, perf_counter_ns)
 from repro.runtime.halo import shared_pool
-from repro.runtime.trace import EpochProbe, Trace, TraceEvent, epoch_shift
+from repro.runtime.trace import Trace
 from repro.runtime.world import World
 
 #: blocked workers re-publish their wait state this often; also the
@@ -366,16 +368,11 @@ class ProcCommunicator(Communicator):
             return super().send(dest, obj, tag, move=move)
         self._check_rank(dest)
         self._check_tag(tag)
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
+        if self._trace.enabled or self.telemetry is not None:
             cls = obj.__class__
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(obj)
-            if self._trace.enabled:
-                self._tappend((self.rank, "send", dest, nbytes, tag,
-                               nbytes if move else 0, perf_counter_ns()))
-            if tele is not None:
-                tele.sent(dest, nbytes, tag, nbytes if move else 0)
+            self.emit("send", dest, nbytes, tag, nbytes if move else 0)
         self._mailboxes[dest].put(_Message(self.rank, tag, obj), move=move)
 
 
@@ -508,14 +505,11 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
         if tele_spec is not None:
             from repro.obs.health import Telemetry
             run.tele = Telemetry.attach(tele_spec, rank)
-            run.tele.start(run.trace.epoch_ns)
+            run.tele.start()
         if spec is not None:
             run.injector = _build_worker_injector(worker, run, spec,
                                                   barrier)
         worker.install(run)
-        worker.publish(("hello", rank, run_id,
-                        (run.trace.epoch, run.trace.epoch_ns,
-                         time.monotonic())))
         threading.Thread(
             target=_run_body, daemon=True, name=f"proc-body-{rank}",
             args=(worker, run, fn, timeout, barrier, data_out,
@@ -541,7 +535,7 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
     def on_crash(reason: str) -> None:
         worker.publish(("dying", run.rank, run.run_id,
                         "InjectedFaultError", reason,
-                        run.trace.snapshot()))
+                        list(run.trace.events)))
         if run.tele is not None:
             run.tele.finish(False)  # last heartbeat: state=failed
         barrier.abort()  # wake peers stuck in a barrier right away
@@ -551,9 +545,6 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
                              armed=spec["armed"], salt=run.rank + 1,
                              crash_mode="kill", on_fire=on_fire,
                              on_crash=on_crash)
-    # run.tele writes straight into launcher-owned shared memory, so
-    # fault marks (like the heartbeat rows) survive the SIGKILL below
-    injector.attach(run.trace, telemetry=run.tele)
     return injector
 
 
@@ -574,19 +565,18 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
     comm.compiled_cache = compiled_cache
     err: BaseException | None = None
     result = None
-    t0 = run.trace.now()
+    t0 = perf_counter_ns()
     try:
         result = fn(comm)
     except BaseException as exc:  # noqa: BLE001 - must report all
         err = exc
         barrier.abort()
     finally:
-        run.trace.record(TraceEvent(run.rank, "rank", None, 0,
-                                    t0=t0, t1=run.trace.now()))
+        comm.emit("rank", t0_ns=t0)
         shared_pool().drain()
         if run.tele is not None:
             run.tele.finish(err is None)
-    events = run.trace.snapshot()
+    events = list(run.trace.events)
     counters = run.counters()
     if err is not None:
         worker.publish(("error", run.rank, run.run_id, _exc_kind(err),
@@ -868,7 +858,6 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         w.cmd.send(("run", run_id, blob))
 
     mirror = _MirrorDetector(size)
-    shifts: dict[int, float] = {}
     #: rank -> (kind, type name, message); kind drives raise priority
     errors: dict[int, tuple[str, str, str]] = {}
     finished: set[int] = set()
@@ -895,14 +884,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         rank = msg[1]
         if kind != "shm+" and msg[2] != run_id:
             return  # stale report from a previous attempt
-        if kind == "hello":
-            shifts[rank] = epoch_shift(EpochProbe(*msg[3]),
-                                       time.monotonic(), world.trace)
-            if telemetry is not None:
-                # flight/heartbeat stamps rebase on the same shift as
-                # the trace merge, so postmortems share one clock
-                telemetry.shifts[rank] = shifts[rank]
-        elif kind == "blocked":
+        if kind == "blocked":
             _, _, _, op, source, tag, token, sent, delivered, infl = msg
             mirror.note(rank, (op, source, tag, token),
                         (sent, delivered, infl))
@@ -912,12 +894,12 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         elif kind == "done":
             _, _, _, result, events, counters = msg
             world.results[rank] = result
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events)
             finished.add(rank)
             mirror.finish(rank, counters)
         elif kind == "error":
             _, _, _, ekind, tname, text, events, counters = msg
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events)
             errors.setdefault(rank, (ekind, tname, text))
             finished.add(rank)
             mirror.finish(rank, counters)
@@ -926,7 +908,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             # a kill-mode fault flushed telemetry before SIGKILLing
             # itself; the sentinel below will confirm the death
             _, _, _, tname, text, events = msg
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events)
             errors.setdefault(rank, ("other", tname, text))
         elif kind == "fired":
             _, _, _, index, record = msg

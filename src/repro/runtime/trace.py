@@ -1,41 +1,43 @@
 """Event tracing for the message-passing runtime.
 
-Every send, receive, barrier, collective, and halo exchange is recorded
-with its payload size, the wall-clock time the rank spent blocked waiting
-for it (``wait_s``), the bytes the zero-copy fast path avoided
-duplicating (``saved_bytes``), and — since the observability overhaul —
-begin/end timestamps (``t0``/``t1``, seconds since the trace ``epoch``),
-which turn the event log into per-rank *spans*.  The test suite uses
-traces to assert that the number of synchronizations the *runtime
-actually performs* per frame equals the number the *pre-compiler
-predicted* after optimization (Table 1's "after" column); the benchmark
-harness feeds traces — including the wait-time and copy-savings
-accounting — to the cluster simulator, and
+Every send, receive, barrier, collective, halo exchange, frame mark,
+checkpoint and injected fault is recorded with its payload size and
+begin/end stamps, which turn the event log into per-rank *spans*.  The
+test suite uses traces to assert that the number of synchronizations the
+*runtime actually performs* per frame equals the number the
+*pre-compiler predicted* after optimization (Table 1's "after" column);
+the benchmark harness feeds traces — including the wait-time and
+copy-savings accounting — to the cluster simulator, and
 :class:`repro.obs.timeline.Timeline` rolls the spans up into per-rank
 compute / blocked / halo / collective breakdowns.
+
+One record shape, one clock: every event is a raw 8-tuple ::
+
+    (rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns)
+
+appended by a rank's one sink, :meth:`repro.runtime.comm.Communicator.
+emit`, which also pushes the same tuple into the live flight ring when
+telemetry is attached.  ``extra`` is the zero-copy bytes saved for
+``send`` and the nanoseconds spent blocked for every other kind;
+``peer``/``tag`` are ``None`` when the event has none.  Both stamps are
+``time.perf_counter_ns()`` — ``CLOCK_MONOTONIC``, which is system-wide,
+so records written by process-executor workers on the same host land on
+the launcher's clock unchanged.  A world keeps one ``epoch_ns``;
+:meth:`Trace.snapshot` decodes the records into :class:`TraceEvent`
+views with float seconds since that epoch, so queries never see a raw
+record.
 
 All query methods take the collector lock, so they are safe to call while
 ranks are still recording.  A trace constructed with ``enabled=False``
 drops all records — the baseline for the instrumentation-overhead guard
 in ``benchmarks/test_micro_runtime.py``.
-
-Recording discipline: the latency-critical point-to-point path appends
-*raw 7-tuples* straight onto ``events`` — an append is atomic under the
-GIL, and a short tuple of ints costs a fraction of any class
-construction — while everything off the hot path records
-:class:`TraceEvent` objects via :meth:`Trace.record`.  Raw entries carry
-one absolute ``time.perf_counter_ns()`` stamp (the cheapest clock read
-CPython offers) and are shaped ``(rank, kind, peer, nbytes, tag,
-extra, t_ns)`` where ``extra`` is ``saved_bytes`` for sends and
-``wait_s`` for receives.  :meth:`Trace.snapshot` normalizes both forms
-into epoch-relative ``TraceEvent``s, so queries never see a raw entry.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 #: every event kind that is a synchronization in the Table-1 sense:
 #: the rank cannot proceed until (some) other ranks participate.
@@ -45,12 +47,13 @@ SYNC_KINDS = ("exchange", "barrier", "allreduce", "reduce", "bcast",
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One runtime communication event."""
+    """Read-only view of one recorded runtime event."""
 
     rank: int
     kind: str  # send | recv | bcast | reduce | allreduce | barrier |
-    #            gather | scatter | allgather | exchange | halo_pack |
-    #            halo_unpack | pipeline_recv | pipeline_send | rank
+    #            gather | scatter | allgather | exchange | overlap |
+    #            halo_pack | halo_unpack | pipeline_recv | pipeline_send |
+    #            frame | checkpoint | restore | fault_* | rank
     peer: int | None
     nbytes: int
     tag: int | None = None
@@ -58,8 +61,7 @@ class TraceEvent:
     wait_s: float = 0.0
     #: payload bytes the zero-copy (move) path did not duplicate
     saved_bytes: int = 0
-    #: begin/end timestamps (seconds since the trace epoch); events
-    #: recorded without timing carry t0 == t1 == 0.0
+    #: begin/end timestamps (seconds since the trace epoch)
     t0: float = 0.0
     t1: float = 0.0
 
@@ -68,118 +70,45 @@ class TraceEvent:
         return self.t1 - self.t0
 
 
-@dataclass(frozen=True)
-class EpochProbe:
-    """One process's trace-clock sample, for the cross-process handshake.
-
-    ``time.monotonic()`` and ``time.perf_counter_ns()`` are only
-    guaranteed comparable *within* a process: a worker's trace epoch is
-    meaningless on the caller's clock.  At attach time the worker sends
-    an :meth:`EpochProbe.sample` of its trace; the receiver stamps its
-    own clock at receipt and :func:`epoch_shift` solves for the offset
-    that lands the worker's epoch-relative timestamps on the receiver's
-    epoch.  The estimate is biased late by the one-way transit of the
-    probe message (microseconds on a local pipe) — events merged from a
-    worker can therefore never land *before* the moment the caller knew
-    the worker existed, keeping merged spans non-negative.
-    """
-
-    #: the sampled trace's ``epoch`` (its local ``time.monotonic()``)
-    epoch: float
-    #: the sampled trace's ``epoch_ns`` (its local ``perf_counter_ns``)
-    epoch_ns: int
-    #: local ``time.monotonic()`` at the instant the probe was taken
-    sampled_at: float
-
-    @classmethod
-    def sample(cls, trace: "Trace") -> "EpochProbe":
-        return cls(trace.epoch, trace.epoch_ns, time.monotonic())
-
-
-def epoch_shift(probe: EpochProbe, received_at: float,
-                target: "Trace") -> float:
-    """Seconds to add to *probe*-relative timestamps to rebase onto
-    *target*'s epoch.
-
-    Args:
-        probe: the remote trace's clock sample.
-        received_at: ``time.monotonic()`` on the *target*'s clock when
-            the probe arrived (the two clock readings bracket the same
-            instant, so their difference is the inter-process offset
-            plus transit).
-    """
-    skew = received_at - probe.sampled_at
-    return (probe.epoch + skew) - target.epoch
-
-
 @dataclass
 class Trace:
     """Thread-safe event collector shared by all ranks of a world."""
 
-    #: the raw log: TraceEvent objects (epoch-relative timestamps) mixed
-    #: with hot-path 7-tuples (absolute timestamps) — read via snapshot()
+    #: the raw log of 8-tuple records — read via snapshot()
     events: list = field(default_factory=list)
-    #: monotonic base all event timestamps are relative to
-    epoch: float = field(default_factory=time.monotonic)
-    #: perf_counter_ns() captured at the same instant as ``epoch``; the
-    #: base hot-path raw stamps are rebased against
-    epoch_ns: int = field(default_factory=time.perf_counter_ns)
+    #: ``perf_counter_ns()`` origin every decoded timestamp is relative to
+    epoch_ns: int = field(default_factory=perf_counter_ns)
     #: False drops all records (overhead-measurement baseline)
     enabled: bool = True
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
 
-    def now(self) -> float:
-        """Seconds since this trace's epoch."""
-        return time.monotonic() - self.epoch
-
-    def record(self, event: TraceEvent) -> None:
+    def absorb(self, records: list[tuple]) -> None:
+        """Bulk-append raw records written by another process's trace
+        (process-executor workers ship theirs unchanged)."""
         if not self.enabled:
             return
         with self._lock:
-            self.events.append(event)
-
-    def absorb(self, events: list[TraceEvent], shift: float = 0.0) -> None:
-        """Bulk-append *normalized* events recorded on another trace,
-        rebasing their timestamps by *shift* seconds (see
-        :func:`epoch_shift`).  Events recorded without timing (the
-        ``t0 == t1 == 0.0`` sentinel) keep their zeros — shifting a
-        sentinel would fabricate a timestamp.  Raw hot-path tuples are
-        not accepted; callers normalize with :meth:`snapshot` first.
-        """
-        if not self.enabled:
-            return
-        shifted = [e if (e.t0 == 0.0 and e.t1 == 0.0)
-                   else replace(e, t0=e.t0 + shift, t1=e.t1 + shift)
-                   for e in events]
-        with self._lock:
-            self.events.extend(shifted)
+            self.events.extend(records)
 
     # -- queries ---------------------------------------------------------------
 
     def snapshot(self) -> list[TraceEvent]:
-        """Consistent, normalized copy of the event list (safe while
-        recording): hot-path raw tuples materialize as TraceEvents with
-        their absolute stamps rebased onto the epoch."""
+        """Consistent, decoded copy of the event list (safe while
+        recording)."""
         with self._lock:
             items = list(self.events)
         epoch_ns = self.epoch_ns
         out = []
-        for e in items:
-            if type(e) is TraceEvent:
-                out.append(e)
-            elif e[1] == "send":
-                t = (e[6] - epoch_ns) * 1e-9
-                out.append(TraceEvent(e[0], "send", e[2], e[3], e[4],
-                                      0.0, e[5], t, t))
-            else:  # recv: extra slot is wait_s, stamp is completion
-                t1 = (e[6] - epoch_ns) * 1e-9
-                out.append(TraceEvent(e[0], "recv", e[2], e[3], e[4],
-                                      e[5], 0, t1 - e[5], t1))
+        for rank, kind, peer, nbytes, tag, extra, t0, t1 in items:
+            if kind == "send":
+                wait_s, saved = 0.0, extra
+            else:
+                wait_s, saved = extra / 1e9, 0
+            out.append(TraceEvent(rank, kind, peer, nbytes, tag, wait_s,
+                                  saved, (t0 - epoch_ns) / 1e9,
+                                  (t1 - epoch_ns) / 1e9))
         return out
-
-    # kept for in-tree callers predating the public name
-    _snapshot = snapshot
 
     def count(self, kind: str, rank: int | None = None) -> int:
         """Number of events of *kind* (optionally for one rank)."""

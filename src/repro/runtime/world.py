@@ -14,11 +14,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import Communicator, DeadlockDetector, _Mailbox
 from repro.runtime.halo import shared_pool
-from repro.runtime.trace import Trace, TraceEvent
+from repro.runtime.trace import Trace
 
 
 @dataclass
@@ -84,7 +85,6 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         telemetry.begin(world.trace.epoch_ns)
     if injector is not None:
         detector.in_flight = injector.in_flight
-        injector.attach(world.trace, telemetry=telemetry)
     errors: list[tuple[int, BaseException]] = []
     # also guards `remaining`; notifies the launcher on every rank exit
     state = threading.Condition()
@@ -95,30 +95,29 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         if telemetry is not None:
             tele = telemetry.rank_view(rank)
             tele.bind(mailboxes[rank], shared_pool())
-            tele.start(world.trace.epoch_ns)
+            tele.start()
         comm = Communicator(rank, size, mailboxes, barrier, world.trace,
                             failed, timeout, detector, injector, tele)
-        t0 = world.trace.now()
+        t0 = perf_counter_ns()
+        ok = False
         try:
             world.results[rank] = fn(comm)
             detector.rank_done(rank)
-            if tele is not None:
-                tele.finish(True)
+            ok = True
         except BaseException as exc:  # noqa: BLE001 - must propagate all
             with state:
                 errors.append((rank, exc))
             failed.set()
             barrier.abort()
             detector.rank_failed(rank)
-            if tele is not None:
-                tele.finish(False)
         finally:
             # the rank's execution window: envelope span the timeline
             # subtracts instrumented intervals from to get compute time.
             # Recorded for crashed ranks too (t1 = failure time) so a
             # chaos profile attributes the work done before the death.
-            world.trace.record(TraceEvent(rank, "rank", None, 0,
-                                          t0=t0, t1=world.trace.now()))
+            comm.emit("rank", t0_ns=t0)
+            if tele is not None:
+                tele.finish(ok)
             with state:
                 remaining[0] -= 1
                 state.notify_all()

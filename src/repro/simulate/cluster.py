@@ -62,8 +62,10 @@ class SimResult:
     #: per-rank time lost to injected faults (straggler slowdowns and
     #: crash-recovery downtime), when the sim ran with a fault plan
     fault_time: list[float] = field(default_factory=list)
-    #: modeled per-rank traffic over the whole run (extrapolated frames
-    #: included — comm phases are frame-periodic, so counts scale exactly)
+    #: modeled per-rank point-to-point traffic over the whole run
+    #: (collectives excluded, as on the live health board; extrapolated
+    #: frames included — comm phases are frame-periodic, so counts
+    #: scale exactly)
     sent_bytes: list[int] = field(default_factory=list)
     recv_bytes: list[int] = field(default_factory=list)
     sent_msgs: list[int] = field(default_factory=list)
@@ -383,11 +385,6 @@ class ClusterSim:
         for r in range(self.size):
             self._mark(r, "allreduce", "collective", t[r], done,
                        count=phase.count)
-            # recursive-doubling model: one 8-byte value each way per round
-            self._sent_b[r] += rounds * 8 * phase.count
-            self._recv_b[r] += rounds * 8 * phase.count
-            self._sent_n[r] += rounds * phase.count
-            self._recv_n[r] += rounds * phase.count
             comm[r] += done - t[r]
             t[r] = done
 

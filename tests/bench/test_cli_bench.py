@@ -114,3 +114,13 @@ class TestDriftCli:
         for cat in ("compute", "halo", "collective", "blocked"):
             assert cat in out
         assert "drift" in out
+
+    def test_traffic_mismatch_fails_the_gate(self, monkeypatch, capsys):
+        from repro.apps.sprayer import sprayer_source
+        from repro.bench import drift
+        # early convergence leaves a partial frame the model counts whole
+        monkeypatch.setattr(
+            drift, "sprayer_source",
+            lambda **kw: sprayer_source(**{**kw, "eps": 1.0e-6}))
+        assert main(["bench", "--drift"]) == 2
+        assert "traffic mismatch" in capsys.readouterr().err

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.bench import CATEGORIES, run_drift
+from repro.apps.sprayer import sprayer_source
+from repro.bench import CATEGORIES, drift, run_drift
+from repro.errors import ReproError
+from repro.runtime.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +65,46 @@ class TestTrafficComparison:
     def test_per_rank_sent_bytes_model_vs_observed(self, report):
         assert len(report.traffic) == 2
         for row in report.traffic:
-            assert row["predicted_sent"] > 0
-            assert row["observed_sent"] > 0
-            # both sides model the same face messages; agreement within
-            # an order of magnitude is the sanity floor (the runtime
-            # ships real array payloads, the model counts face bytes)
-            assert row["ratio"] is not None
-            assert 0.1 < row["ratio"] < 10.0
+            # both sides count the same float64 face messages (eps=0:
+            # every frame runs whole), so they agree exactly
+            assert row["observed_sent"] == row["predicted_sent"] > 0
+            assert row["observed_msgs"] == row["predicted_msgs"] > 0
+            assert row["ratio"] == 1.0
+        assert report.traffic_mismatches() == []
+
+    def test_hand_counted_sprayer_traffic(self):
+        # sprayer 60x24 on 2x1 for 8 frames: the schedule's 7 comm
+        # phases ship 3+1+1+1+1+1+2 = 10 array faces of 24 float64
+        # points, i.e. 7 messages and 1920 B per rank per frame
+        report = run_drift()
+        assert report.frames == 8
+        for row in report.traffic:
+            assert (row["observed_sent"], row["observed_msgs"]) == \
+                (15360, 56)
+            assert (row["predicted_sent"], row["predicted_msgs"]) == \
+                (15360, 56)
 
     def test_traffic_renders_in_table_and_dict(self, report):
         assert "sent(model)" in report.table()
         assert report.as_dict()["traffic"] == report.traffic
+
+
+class TestFrameWindow:
+    def test_frames_come_from_the_runs_frame_marks(self, monkeypatch):
+        # a deck that converges inside frame 1: the report covers the
+        # one frame that ran, not the 8 the program allows, and the
+        # partial frame's traffic is flagged against the whole model one
+        monkeypatch.setattr(
+            drift, "sprayer_source",
+            lambda **kw: sprayer_source(**{**kw, "eps": 1.0e-6}))
+        report = run_drift()
+        assert report.frames == 1
+        assert report.traffic_mismatches()
+
+    def test_ranks_disagreeing_on_frames_raise(self):
+        trace = Trace(epoch_ns=0)
+        trace.absorb([(0, "frame", None, 0, 1, 0, 0, 0),
+                      (0, "frame", None, 0, 2, 0, 0, 0),
+                      (1, "frame", None, 0, 1, 0, 0, 0)])
+        with pytest.raises(ReproError, match="different frame counts"):
+            drift._frames_run(trace)

@@ -1,5 +1,6 @@
 """Health board, rank telemetry, alerts, live rendering, /metrics."""
 
+import time
 import urllib.request
 
 import numpy as np
@@ -17,6 +18,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import spmd_run
 
 
+def _record(view, kind, peer=None, nbytes=0, tag=None, extra=0):
+    """Feed *view* one trace record, as the rank's event sink does."""
+    t = time.perf_counter_ns()
+    view.record((view.rank, kind, peer, nbytes, tag, extra, t, t))
+
+
 class TestHealthBoard:
     def test_fresh_rows_decode_to_init(self):
         board = HealthBoard(2)
@@ -29,11 +36,11 @@ class TestHealthBoard:
     def test_rank_telemetry_writes_show_in_samples(self):
         tele = Telemetry(2)
         view = tele.rank_view(1)
-        view.start(epoch_ns=0)
-        view.frame(4)
-        view.sent(0, 256, tag=9)
-        view.recvd(0, 128, tag=9, waited=0.01)
-        view.checkpoint(4)
+        view.start()
+        _record(view, "frame", tag=4)
+        _record(view, "send", 0, 256, tag=9)
+        _record(view, "recv", 0, 128, tag=9, extra=10_000_000)
+        _record(view, "checkpoint", tag=4)
         s = tele.samples()[1]
         assert s.state == "compute"
         assert s.frame == 4
@@ -45,7 +52,7 @@ class TestHealthBoard:
     def test_enter_returns_previous_state(self):
         tele = Telemetry(1)
         view = tele.rank_view(0)
-        view.start(epoch_ns=0)
+        view.start()
         prev = view.enter(2)  # blocked
         assert prev == 1  # was compute
         assert tele.samples()[0].state == "blocked"
@@ -65,9 +72,9 @@ class TestHealthBoard:
     def test_begin_resets_between_attempts(self):
         tele = Telemetry(1)
         view = tele.rank_view(0)
-        view.start(0)
-        view.frame(9)
-        view.sent(0, 100, 0)
+        view.start()
+        _record(view, "frame", tag=9)
+        _record(view, "send", 0, 100, 0)
         tele.begin()
         s = tele.samples()[0]
         assert s.frame is None and s.sent_bytes == 0
@@ -81,8 +88,8 @@ class TestSharedTelemetry:
         try:
             spec = tele.spec()
             view = Telemetry.attach(spec, rank=1)
-            view.start(epoch_ns=0)
-            view.frame(3)
+            view.start()
+            _record(view, "frame", tag=3)
             view.release()
             assert tele.samples()[1].frame == 3
             world = Telemetry.attach_world(spec)
@@ -166,7 +173,7 @@ class TestMetricsServer:
         registry = MetricsRegistry()
         registry.counter("demo.count", help="a demo counter").inc(3)
         tele = Telemetry(2)
-        tele.rank_view(0).start(0)
+        tele.rank_view(0).start()
         server = serve_metrics(registry, port=0, telemetry=tele)
         try:
             port = server.server_address[1]

@@ -2,6 +2,7 @@
 profile --top."""
 
 import json
+import time
 
 import pytest
 
@@ -18,6 +19,12 @@ def src_file(tmp_path):
     path = tmp_path / "jacobi.f90"
     path.write_text(JACOBI_SRC)
     return str(path)
+
+
+def _record(view, kind, peer=None, nbytes=0, tag=None, extra=0):
+    """Feed *view* one trace record, as the rank's event sink does."""
+    t = time.perf_counter_ns()
+    view.record((view.rank, kind, peer, nbytes, tag, extra, t, t))
 
 
 class TestRunLive:
@@ -66,8 +73,8 @@ class TestTop:
         tele = Telemetry(2, shared=True)
         try:
             view = tele.rank_view(0)
-            view.start(0)
-            view.frame(5)
+            view.start()
+            _record(view, "frame", tag=5)
             path = publish_live(tele, path=str(tmp_path / "live.json"))
             assert main(["top", "--board", path, "--once"]) == 0
             out = capsys.readouterr().out
@@ -95,8 +102,8 @@ class TestPostmortemCommand:
     def _write_report(self, tmp_path):
         tele = Telemetry(2)
         view = tele.rank_view(1)
-        view.start(0)
-        view.frame(3)
+        view.start()
+        _record(view, "frame", tag=3)
         err = ReproError("rank 1 worker process died without reporting")
         rep = build_postmortem(error=err, size=2, telemetry=tele)
         tele.close()

@@ -126,7 +126,7 @@ class TestRoundTrip:
     def test_health_exposition_parses_with_labels(self):
         from repro.obs.health import Telemetry, health_exposition
         tele = Telemetry(2)
-        tele.rank_view(1).start(0)
+        tele.rank_view(1).start()
         parsed = parse_exposition(health_exposition(tele))
         samples = dict((labels["rank"], v) for labels, v in
                        parsed["acfd_health_state"]["samples"])

@@ -10,6 +10,7 @@ flight tails salvaged from shared memory.
 import json
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def _suicide_body(comm):
     else:
         comm.recv(source=0, tag=2)
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _record(view, kind, peer=None, nbytes=0, tag=None, extra=0):
+    """Feed *view* one trace record, as the rank's event sink does."""
+    t = time.perf_counter_ns()
+    view.record((view.rank, kind, peer, nbytes, tag, extra, t, t))
 
 
 # -- classification over synthetic errors ------------------------------------------
@@ -98,10 +105,10 @@ class TestDocument:
     def test_render_contains_all_sections(self):
         tele = Telemetry(2)
         view = tele.rank_view(1)
-        view.start(0)
-        view.frame(4)
-        view.checkpoint(4)
-        view.sent(0, 64, tag=1)
+        view.start()
+        _record(view, "frame", tag=4)
+        _record(view, "checkpoint", tag=4)
+        _record(view, "send", 0, 64, tag=1)
         err = ReproError("rank 1 worker process died without reporting")
         rep = build_postmortem(error=err, size=2, telemetry=tele)
         tele.close()
@@ -117,8 +124,8 @@ class TestDocument:
         tele = Telemetry(3)
         for rank, frame in ((0, 7), (1, 4), (2, 7)):
             view = tele.rank_view(rank)
-            view.start(0)
-            view.frame(frame)
+            view.start()
+            _record(view, "frame", tag=frame)
         rep = build_postmortem(error=ReproError("x"), size=3,
                                telemetry=tele)
         tele.close()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import RuntimeCommError
 from repro.runtime import CartComm, Trace, spmd_run
-from repro.runtime.trace import TraceEvent
 
 
 class TestCart:
@@ -193,7 +192,7 @@ class TestTrace:
 
     def test_clear(self):
         trace = Trace()
-        trace.record(TraceEvent(0, "send", 1, 8))
+        trace.absorb([(0, "send", 1, 8, None, 0, 0, 0)])
         trace.clear()
         assert trace.events == []
 
