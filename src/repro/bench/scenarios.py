@@ -316,7 +316,8 @@ def runtime_ping_pong_proc():
 
 @scenario("runtime.halo_exchange_proc", tags=("runtime", "proc"))
 def runtime_halo_exchange_proc():
-    """runtime.halo_exchange on the process executor (shm move path)."""
+    """runtime.halo_exchange on the process executor (faces pickled
+    over the per-pair pipes)."""
     rounds = 20
     world = spmd_run(4, functools.partial(_proc_halo_body, rounds),
                      executor="process")
@@ -383,10 +384,10 @@ def pyback_jacobi_blocking():
 def pyback_jacobi_overlap():
     """The same parallel Jacobi with the split interior/boundary nests
     and nonblocking double-buffered exchanges."""
-    result = _jacobi_parallel("on")
+    result = _jacobi_parallel("auto")
     assert result.plan.overlap_enabled(1)
     result.run_parallel(timeout=60.0)
-    return {"grid": "48x32", "iters": 30, "overlap": "on"}
+    return {"grid": "48x32", "iters": 30, "overlap": "auto"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,11 +418,11 @@ def pyback_sprayer_blocking():
 def pyback_sprayer_overlap():
     """The same sprayer with its stencil syncs split across ``call``
     boundaries into interior/boundary specializations."""
-    result = _sprayer_parallel("on")
+    result = _sprayer_parallel("auto")
     assert any(d.enabled and d.callee
                for d in result.plan.overlap_decisions)
     result.run_parallel(input_text="2.5 20\n", timeout=120.0)
-    return {"grid": "96x48", "iters": 6, "overlap": "on"}
+    return {"grid": "96x48", "iters": 6, "overlap": "auto"}
 
 
 @scenario("pyback.aerofoil_blocking", tags=("pyback",))
@@ -436,11 +437,11 @@ def pyback_aerofoil_blocking():
 def pyback_aerofoil_overlap():
     """The same aerofoil with interprocedural overlap on the pressure
     correction and convergence stencils."""
-    result = _aerofoil_parallel("on")
+    result = _aerofoil_parallel("auto")
     assert any(d.enabled and d.callee
                for d in result.plan.overlap_decisions)
     result.run_parallel(input_text=AEROFOIL_DECK, timeout=120.0)
-    return {"grid": "48x24x8", "iters": 4, "overlap": "on"}
+    return {"grid": "48x24x8", "iters": 4, "overlap": "auto"}
 
 
 # -- simulator ---------------------------------------------------------------------

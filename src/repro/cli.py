@@ -82,13 +82,6 @@ def _compile_args(acfd: AutoCFD, args) -> list:
         results.append(acfd.compile(partition=dims, overlap=overlap))
     if not results:
         results.append(acfd.compile(overlap=overlap))
-    if overlap == "on":
-        # the user asked for overlap explicitly: surface every sync the
-        # safety analysis kept blocking, with its reason
-        for result in results:
-            for sid, reason in result.report.overlap_refusals:
-                print(f"acfd: overlap refused for sync {sid}: {reason}",
-                      file=sys.stderr)
     return results
 
 
@@ -484,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--processors", "-n", type=int,
                        help="processor count (the partitioner picks the "
                             "shape)")
-        p.add_argument("--overlap", choices=("on", "off", "auto"),
+        p.add_argument("--overlap", choices=("auto", "off"),
                        default="auto",
                        help="communication/computation overlap: split "
                             "safe consumer loops into interior+boundary "
                             "around a nonblocking exchange (auto: "
-                            "where provably safe; on: auto + warn on "
-                            "refusals; off: always blocking)")
+                            "where provably safe, refusals listed by "
+                            "'acfd report'; off: always blocking)")
 
     p = sub.add_parser("compile", help="emit the generated SPMD program")
     common(p)
@@ -680,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "quick deck")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-attempt receive watchdog (seconds)")
-    p.add_argument("--overlap", choices=("on", "off", "auto"),
+    p.add_argument("--overlap", choices=("auto", "off"),
                    default="auto",
                    help="communication/computation overlap mode for the "
                         "compiled runs (see 'acfd run --help')")

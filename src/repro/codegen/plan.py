@@ -125,9 +125,8 @@ class ParallelPlan:
     #: pairs that actually need synchronization under the partition
     active_pairs: list[DependencePair]
     regions: list[SyncRegion]
-    #: requested overlap mode: "auto" | "on" | "off" — "on" and "auto"
-    #: both apply the safety gate (correctness is never traded away);
-    #: "on" merely surfaces refusals loudly
+    #: requested overlap mode: "auto" (split every sync the safety gate
+    #: proves safe) | "off" (every exchange blocking)
     overlap: str = "auto"
     #: per combined sync, the restructurer's verdict (filled in by
     #: ``restructure``; deterministic, so a re-restructure of a pickled
@@ -213,12 +212,12 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
         combine: apply the combining optimization (ablation hook).
         eliminate_redundant: apply redundant-pair elimination (ablation
             hook).
-        overlap: halo-overlap mode ("auto" | "on" | "off"); the
+        overlap: halo-overlap mode ("auto" | "off"); the
             restructurer records its per-sync decisions on the plan.
     """
-    if overlap not in ("auto", "on", "off"):
+    if overlap not in ("auto", "off"):
         raise CodegenError(f"overlap mode {overlap!r} not in "
-                           f"('auto', 'on', 'off')")
+                           f"('auto', 'off')")
     if directives is None:
         directives = cu.directives  # type: ignore[assignment]
     with obs.span("frame-program", cat="compile") as sp:

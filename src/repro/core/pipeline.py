@@ -157,8 +157,8 @@ class AutoCFD:
             overlap: communication/computation overlap mode — ``"auto"``
                 splits every provably safe consumer nest into interior +
                 boundary strips around a nonblocking exchange, ``"off"``
-                keeps every exchange blocking, ``"on"`` is auto plus
-                refusal reasons surfaced as warnings by the CLI.
+                keeps every exchange blocking; refusal reasons are on
+                the report (``acfd report``).
         """
         with activate(self.obs):
             with obs.span("partitioning", cat="compile") as psp:

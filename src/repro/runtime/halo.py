@@ -54,8 +54,11 @@ class BufferPool:
     """Reusable contiguous numpy buffers, shared by all ranks in-process.
 
     Senders ``acquire`` a packing buffer, receivers ``release`` it after
-    unpacking; because the transport is in-process shared memory, the
-    same physical buffer cycles between ranks without reallocation.
+    unpacking; on the thread executor the transport is in-process
+    shared memory, so the same physical buffer cycles between ranks
+    without reallocation.  On the process executor each worker has its
+    own pool and a sender releases its buffer once the pipe has the
+    pickled bytes.
     """
 
     def __init__(self, max_per_key: int = 64) -> None:

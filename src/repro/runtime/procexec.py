@@ -10,11 +10,12 @@ deadlock-diagnosis / bounded-join guarantees — behind
   spawned once and reused across runs and recovery attempts — respawning
   processes per attempt would swamp small runs with fork cost.  Workers
   killed by a fault (or the stuck deadline) are respawned lazily;
-* point-to-point payloads travel over per-ordered-pair OS pipes; ``move``
-  payloads (packed halo faces) go through **shared-memory ring buffers**
-  (:class:`_ShmRing`), so the byte-heavy path never pickles — the
-  receiver copies each face straight into a pool buffer and frees the
-  slot;
+* every point-to-point message crosses its per-ordered-pair OS pipe as
+  one pickled ``("p", ...)`` message, as the paper's PVM/MPI programs
+  send serialized messages between address spaces.  The pickle is the
+  buffered-send copy, so a ``move`` payload's arrays (packed halo
+  faces) return to the sender's :class:`BufferPool` once the pipe has
+  their bytes, and the pool books balance as on the thread executor;
 * a worker-side :class:`ProcCommunicator` subclasses ``Communicator``:
   its own mailbox is a real in-process ``_Mailbox`` (a drainer thread
   materializes incoming pipe traffic into it), peers are
@@ -40,11 +41,11 @@ deadlock-diagnosis / bounded-join guarantees — behind
   deadline are killed and named, exactly like the thread executor's
   stuck ranks;
 * **trace merging**: workers stamp events with ``perf_counter_ns`` —
-  ``CLOCK_MONOTONIC``, one system-wide clock, and every worker shares
-  the launcher's host because halos travel through shared memory — and
-  ship their raw records back with the result; the launcher appends
-  them unchanged to the caller's trace, whose one epoch decodes every
-  rank alike, so ``acfd profile`` output is executor-agnostic.
+  ``CLOCK_MONOTONIC``, one system-wide clock shared by the launcher and
+  its child workers — and ship their raw records back with the result;
+  the launcher appends them unchanged to the caller's trace, whose one
+  epoch decodes every rank alike, so ``acfd profile`` output is
+  executor-agnostic.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import pickle
 import threading
 import time
 from multiprocessing import connection as mpc
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -75,150 +76,6 @@ _HEARTBEAT = 0.2
 #: has been quiescent this long — long enough for any in-flight
 #: delivery, mailbox take, or heartbeat race to surface as a change
 _MIRROR_QUIET = 0.75
-
-#: shared-memory ring geometry: slots per ring, minimum slot payload
-_RING_SLOTS = 8
-_RING_MIN_SLOT = 1 << 16
-
-
-def _untrack_shm(shm: shared_memory.SharedMemory) -> None:
-    """Drop *shm* from this process's resource tracker.
-
-    Ring segments are owned by the launcher's pool (workers register
-    every created ring over the control pipe; the pool unlinks them at
-    shutdown).  Without this, every create/attach would also register
-    with the per-process tracker, which then warns — and double-unlinks
-    — at interpreter exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# shared-memory rings for move payloads
-# ---------------------------------------------------------------------------
-
-
-class _ShmRing:
-    """Sender-owned SPSC ring of fixed-size payload slots.
-
-    Layout: ``_RING_SLOTS`` one-byte slot flags (0 free / 1 full)
-    followed by the slot payloads.  The sender scans for a free slot,
-    writes the payload, sets the flag, and ships ``(name, slot, descs)``
-    over the data pipe — the pipe message is the synchronization; the
-    flag only gates slot reuse.  The receiver copies the payload out and
-    clears the flag.  No free slot (or an oversize payload) returns None
-    and the sender falls back to pickling over the pipe, so a slow
-    receiver degrades throughput, never correctness.
-    """
-
-    def __init__(self, slot_size: int) -> None:
-        self.slot_size = slot_size
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=_RING_SLOTS * (1 + slot_size))
-        _untrack_shm(self.shm)
-        self.name = self.shm.name
-        self.flags = np.ndarray((_RING_SLOTS,), np.uint8,
-                                buffer=self.shm.buf)
-        self.flags[:] = 0
-
-    def try_put(self, arrays: list[np.ndarray], total: int
-                ) -> tuple[int, list] | None:
-        """Write *arrays* into a free slot; (slot, descs) or None."""
-        if total > self.slot_size:
-            return None
-        free = np.flatnonzero(self.flags == 0)
-        if free.size == 0:
-            return None
-        slot = int(free[0])
-        base = _RING_SLOTS + slot * self.slot_size
-        offset = 0
-        descs = []
-        for a in arrays:
-            dst = np.ndarray(a.shape, a.dtype, buffer=self.shm.buf,
-                             offset=base + offset)
-            dst[...] = a
-            descs.append((a.shape, a.dtype.str, offset))
-            offset += a.nbytes
-        self.flags[slot] = 1
-        return slot, descs
-
-
-class _RingSet:
-    """All rings one worker created for one destination (grow on demand)."""
-
-    def __init__(self, notify_created) -> None:
-        self._rings: list[_ShmRing] = []
-        self._notify = notify_created  # (name) -> None: register w/ pool
-
-    def put(self, arrays: list[np.ndarray]) -> tuple[str, int, list] | None:
-        total = sum(a.nbytes for a in arrays)
-        for ring in self._rings:
-            got = ring.try_put(arrays, total)
-            if got is not None:
-                return ring.name, got[0], got[1]
-        # no capacity: grow for oversize payloads; an adequately sized
-        # but full ring means the receiver is behind — pickle instead of
-        # allocating more shared memory
-        if self._rings and total <= self._rings[-1].slot_size:
-            return None
-        ring = _ShmRing(max(_RING_MIN_SLOT, total))
-        self._notify(ring.name)
-        self._rings.append(ring)
-        got = ring.try_put(arrays, total)
-        return ring.name, got[0], got[1]
-
-
-class _ShmReader:
-    """Receiver-side ring attachments (cached per segment name).
-
-    Thread-safe: the drainer and the worker command loop (flushing
-    buffered early-run messages) both route through it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._segs: dict[str, shared_memory.SharedMemory] = {}
-
-    def _attach(self, name: str) -> shared_memory.SharedMemory:
-        with self._lock:
-            shm = self._segs.get(name)
-            if shm is None:
-                shm = self._segs[name] = shared_memory.SharedMemory(
-                    name=name)
-                _untrack_shm(shm)
-            return shm
-
-    def free(self, name: str, slot: int) -> None:
-        """Release a slot without materializing (stale-run message)."""
-        shm = self._attach(name)
-        np.ndarray((_RING_SLOTS,), np.uint8, buffer=shm.buf)[slot] = 0
-
-    def take(self, name: str, slot: int, single: bool, descs: list):
-        """Copy a slot's payload into pool-backed local buffers.
-
-        Delivering views of the ring would let the receiver's unpack
-        path ``release`` foreign memory into its :class:`BufferPool`
-        (and the slot could be recycled under a held view), so each face
-        is copied out exactly once — the same single copy the thread
-        executor's receive side pays, with zero pickling.
-        """
-        shm = self._attach(name)
-        slot_size = (shm.size - _RING_SLOTS) // _RING_SLOTS
-        base = _RING_SLOTS + slot * slot_size
-        pool = shared_pool()
-        out = []
-        for shape, dtype, offset in descs:
-            src = np.ndarray(shape, dtype, buffer=shm.buf,
-                             offset=base + offset)
-            local = pool.acquire(shape, dtype)
-            local[...] = src
-            out.append(local)
-        np.ndarray((_RING_SLOTS,), np.uint8, buffer=shm.buf)[slot] = 0
-        return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -304,51 +161,26 @@ class _ClientDetector:
 
 class _RemoteMailbox:
     """Sender-side proxy for a peer's mailbox: ``put`` ships the message
-    over the data pipe, or through the shm ring for move payloads.
+    pickled over the data pipe.
 
     Bound to one run: a delayed delivery (fault-injection timer) firing
     after its run died carries the dead run's id and is dropped by the
     receiver's drainer instead of ghosting into the next attempt.
     """
 
-    __slots__ = ("_run", "_conn", "_lock", "_rings")
+    __slots__ = ("_run", "_conn", "_lock")
 
-    def __init__(self, run: _Run, conn, lock, rings: _RingSet) -> None:
+    def __init__(self, run: _Run, conn, lock) -> None:
         self._run = run
         self._conn = conn
         self._lock = lock  # per-pipe: body + injector timers may race
-        self._rings = rings
 
-    def put(self, message: _Message, move: bool = False) -> None:
+    def put(self, message: _Message) -> None:
         run = self._run
         run.bump_sent()
-        payload = message.payload
-        if move:
-            arrays, single = _as_array_list(payload)
-            if arrays is not None:
-                got = self._rings.put(arrays)
-                if got is not None:
-                    name, slot, descs = got
-                    with self._lock:
-                        self._conn.send(("s", run.run_id, message.source,
-                                         message.tag, message.msg_id,
-                                         name, slot, single, descs))
-                    return
         with self._lock:
             self._conn.send(("p", run.run_id, message.source, message.tag,
-                             message.msg_id, payload))
-
-
-def _as_array_list(payload):
-    """(list of contiguous ndarrays, was_single) or (None, False)."""
-    if isinstance(payload, np.ndarray):
-        return ([payload] if payload.flags.c_contiguous
-                else [np.ascontiguousarray(payload)]), True
-    if isinstance(payload, list) and payload and all(
-            isinstance(a, np.ndarray) for a in payload):
-        return [a if a.flags.c_contiguous else np.ascontiguousarray(a)
-                for a in payload], False
-    return None, False
+                             message.msg_id, message.payload))
 
 
 class ProcCommunicator(Communicator):
@@ -356,8 +188,10 @@ class ProcCommunicator(Communicator):
 
     Everything above delivery — receive matching, collectives, barrier
     handling, deadlock bookkeeping, tracing — is inherited; only remote
-    ``send`` changes: pickling (or the shm ring) *is* the buffered-send
-    copy, so the payload deep-copy is skipped on the fault-free path.
+    ``send`` changes: pickling *is* the buffered-send copy, so the
+    payload deep-copy is skipped on the fault-free path, and a ``move``
+    payload's arrays go back to this rank's :class:`BufferPool` as soon
+    as the pipe has their bytes.
     """
 
     def send(self, dest: int, obj, tag: int = 0, *,
@@ -373,7 +207,12 @@ class ProcCommunicator(Communicator):
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(obj)
             self.emit("send", dest, nbytes, tag, nbytes if move else 0)
-        self._mailboxes[dest].put(_Message(self.rank, tag, obj), move=move)
+        self._mailboxes[dest].put(_Message(self.rank, tag, obj))
+        if move:
+            pool = shared_pool()
+            for buf in obj if isinstance(obj, list) else (obj,):
+                if isinstance(buf, np.ndarray):
+                    pool.release(buf)
 
 
 class _WorkerState:
@@ -384,7 +223,6 @@ class _WorkerState:
         self.size = size
         self.ctrl = ctrl
         self.ctrl_lock = threading.Lock()
-        self.reader = _ShmReader()
         #: guards run installation and the early-message buffer
         self.route_lock = threading.Lock()
         self.run: _Run | None = None
@@ -409,11 +247,7 @@ class _WorkerState:
                 self.early.setdefault(rid, []).append(msg)
                 return
             if run is None or rid < current:
-                run = None
-        if run is None:
-            if msg[0] == "s":
-                self.reader.free(msg[5], msg[6])  # stale: recycle slot
-            return
+                return  # stale: a dead attempt's traffic
         self._deliver(run, msg)
 
     def install(self, run: _Run) -> None:
@@ -421,20 +255,13 @@ class _WorkerState:
         with self.route_lock:
             self.run = run
             flush = self.early.pop(run.run_id, [])
-            stale = [m for rid in [r for r in self.early if r < run.run_id]
-                     for m in self.early.pop(rid)]
-        for msg in stale:
-            if msg[0] == "s":
-                self.reader.free(msg[5], msg[6])
+            for rid in [r for r in self.early if r < run.run_id]:
+                del self.early[rid]  # stale: dead attempts' traffic
         for msg in flush:
             self._deliver(run, msg)
 
     def _deliver(self, run: _Run, msg: tuple) -> None:
-        if msg[0] == "p":
-            _, _, source, tag, msg_id, payload = msg
-        else:
-            _, _, source, tag, msg_id, name, slot, single, descs = msg
-            payload = self.reader.take(name, slot, single, descs)
+        _, _, source, tag, msg_id, payload = msg
         run.mailbox.put(_Message(source, tag, payload, msg_id))
         run.bump_delivered()
 
@@ -467,9 +294,6 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
     threading.Thread(target=_drain_loop, args=(worker, data_in),
                      daemon=True, name=f"proc-drain-{rank}").start()
     pipe_locks = {dest: threading.Lock() for dest, _ in data_out}
-    rings = {dest: _RingSet(
-        lambda name: worker.publish(("shm+", rank, name)))
-        for dest, _ in data_out}
     data_out = dict(data_out)
     compiled_cache: dict = {}
 
@@ -513,7 +337,7 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
         threading.Thread(
             target=_run_body, daemon=True, name=f"proc-body-{rank}",
             args=(worker, run, fn, timeout, barrier, data_out,
-                  pipe_locks, rings, compiled_cache)).start()
+                  pipe_locks, compiled_cache)).start()
 
 
 def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
@@ -549,12 +373,11 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
 
 
 def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
-              data_out, pipe_locks, rings, compiled_cache) -> None:
+              data_out, pipe_locks, compiled_cache) -> None:
     """Execute the rank body for one run and report the outcome."""
     mailboxes: list = [None] * worker.size
     for dest, conn in data_out.items():
-        mailboxes[dest] = _RemoteMailbox(run, conn, pipe_locks[dest],
-                                         rings[dest])
+        mailboxes[dest] = _RemoteMailbox(run, conn, pipe_locks[dest])
     mailboxes[run.rank] = run.mailbox
     if run.tele is not None:
         run.tele.bind(run.mailbox, shared_pool())
@@ -714,7 +537,6 @@ class WorkerPool:
         except ValueError:  # platform without fork
             self.ctx = get_context("spawn")
         self.barrier = self.ctx.Barrier(size)
-        self.shm_names: set[str] = set()
         self._run_seq = 0
         #: (source, dest) -> (read end, write end); both ends stay open
         #: in the launcher so respawned workers inherit live pipes and
@@ -773,16 +595,6 @@ class WorkerPool:
             _close_quiet(w.cmd, w.ctrl)
         for ends in self.data.values():
             _close_quiet(*ends)
-        for name in self.shm_names:
-            try:
-                # attach registers with the tracker and unlink
-                # unregisters — balanced, so no _untrack_shm here
-                seg = shared_memory.SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-        self.shm_names.clear()
 
 
 def _close_quiet(*conns) -> None:
@@ -882,7 +694,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
     def handle(msg: tuple) -> None:
         kind = msg[0]
         rank = msg[1]
-        if kind != "shm+" and msg[2] != run_id:
+        if msg[2] != run_id:
             return  # stale report from a previous attempt
         if kind == "blocked":
             _, _, _, op, source, tag, token, sent, delivered, infl = msg
@@ -914,8 +726,6 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             _, _, _, index, record = msg
             if injector is not None:
                 injector.absorb_fired(index, record)
-        elif kind == "shm+":
-            pool.shm_names.add(msg[2])
 
     def drain_ctrl(worker: _Worker) -> None:
         while True:

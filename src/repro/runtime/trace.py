@@ -118,7 +118,7 @@ class Trace:
     def bytes_sent(self, rank: int | None = None) -> int:
         """Total payload bytes sent (point-to-point sends only)."""
         return sum(e.nbytes for e in self.snapshot()
-                   if e.kind in ("send", "pipeline_send")
+                   if e.kind == "send"
                    and (rank is None or e.rank == rank))
 
     def sync_count(self, rank: int | None = None) -> int:
@@ -129,8 +129,10 @@ class Trace:
                    and (rank is None or e.rank == rank))
 
     def messages(self, rank: int | None = None) -> list[TraceEvent]:
+        """Point-to-point sends (``pipeline_send`` is a marker the
+        pipelined path records beside its real ``send``)."""
         return [e for e in self.snapshot()
-                if e.kind in ("send", "pipeline_send")
+                if e.kind == "send"
                 and (rank is None or e.rank == rank)]
 
     def wait_time(self, rank: int | None = None) -> float:
@@ -147,7 +149,7 @@ class Trace:
     def comm_stats(self) -> dict:
         """Aggregate communication accounting for benchmarks/simulation."""
         events = self.snapshot()
-        sends = [e for e in events if e.kind in ("send", "pipeline_send")]
+        sends = [e for e in events if e.kind == "send"]
         syncs_by_kind: dict[str, int] = {}
         for e in events:
             if e.kind in SYNC_KINDS:

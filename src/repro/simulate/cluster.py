@@ -115,7 +115,7 @@ class SimResult:
         recv_n = self.recv_msgs or empty
         return [HealthSample(
             rank=r, beat=self.frames, state="done",
-            frame=self.frames - 1, mailbox_depth=0, pool_outstanding=0,
+            frame=self.frames, mailbox_depth=0, pool_outstanding=0,
             ckpt_frame=None, sent_bytes=sent_b[r], recv_bytes=recv_b[r],
             sent_msgs=sent_n[r], recv_msgs=recv_n[r],
             t_ns=0, t_s=self.per_rank[r]) for r in range(size)]

@@ -76,8 +76,10 @@ class TestSplitStructure:
         assert decision(plan, 1).reason == "overlap disabled (mode off)"
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(CodegenError, match="overlap mode"):
-            compiled(JACOBI_SRC, (2, 1), overlap="maybe")
+        # "on" is not a mode: auto already splits every safe sync
+        for mode in ("maybe", "on"):
+            with pytest.raises(CodegenError, match="overlap mode"):
+                compiled(JACOBI_SRC, (2, 1), overlap=mode)
 
     def test_reduction_still_allreduced_after_strips(self):
         # err accumulates across interior + strips; the allreduce must

@@ -77,6 +77,18 @@ class TestTraceCrossCheck:
         result = acfd.compile(partition=(2, 1)).run_parallel()
         assert result.trace.count("pipeline_send", rank=0) > 0
 
+    def test_pipeline_markers_are_not_counted_as_sends(self):
+        # 4 frames on 2x1: 20 real sends, each pipelined one shadowed by
+        # a pipeline_send marker (4) that must not count twice
+        src = K.gauss_seidel_2d(n=12, m=8, iters=4, eps=0.0)
+        trace = AutoCFD.from_source(src).compile(
+            partition=(2, 1)).run_parallel().trace
+        assert trace.count("pipeline_send") == 4
+        assert trace.comm_stats()["sends"] == 20
+        assert len(trace.messages()) == 20
+        assert trace.bytes_sent() == sum(e.nbytes for e in trace.snapshot()
+                                         if e.kind == "send")
+
     def test_no_pipeline_for_jacobi(self):
         src = K.jacobi_5pt(n=14, m=10, iters=5, eps=0.0)
         acfd = AutoCFD.from_source(src)

@@ -56,6 +56,16 @@ class TestReport:
         assert "2x1" in out
         assert "1x2" in out
 
+    def test_overlap_choices_are_auto_and_off(self, src_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", src_file, "-p", "2x1", "--overlap", "on"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'on'" in capsys.readouterr().err
+        assert main(["report", src_file, "-p", "2x1",
+                     "--overlap", "auto"]) == 0
+        # refusals are listed by the report itself, never on stderr
+        assert capsys.readouterr().err == ""
+
     def test_missing_partition_is_error(self, src_file, capsys):
         assert main(["report", src_file]) == 2
         assert "error" in capsys.readouterr().err

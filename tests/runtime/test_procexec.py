@@ -4,7 +4,7 @@ The thread executor's guarantees — failure propagation with rank
 attribution, deadlock diagnosis naming the wait-for cycle, bounded joins
 that name stuck ranks, executor-agnostic traces — must survive the jump
 to one-process-per-rank, where a "stuck rank" can be a SIGKILLed worker
-and every payload crosses a pickle or shared-memory boundary.
+and every payload crosses a pickle boundary.
 
 Rank bodies here are module-level functions: the process executor pickles
 them to the workers (closures are rejected with a clear error, which is
@@ -18,6 +18,11 @@ import numpy as np
 import pytest
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
+from repro.interp.values import OffsetArray
+from repro.partition.grid import GridGeometry
+from repro.partition.halo import GhostSpec, ghost_bounds
+from repro.partition.partitioner import Partition
+from repro.runtime import CartComm, HaloExchanger, HaloSpec, shared_pool
 from repro.runtime.procexec import get_pool, proc_run
 from repro.runtime.trace import Trace
 from repro.runtime.world import spmd_run
@@ -53,11 +58,36 @@ def _halo_move(comm):
 
 
 def _big_move(comm):
-    # larger than a ring slot's initial size: exercises ring growth
+    # a 320 KB payload: one pickled pipe message, no size cap
     peer = 1 - comm.rank
     block = np.arange(40_000, dtype=np.float64) + comm.rank
     comm.send(peer, block, tag=1, move=True)
     return float(comm.recv(peer, 1).sum())
+
+
+def _pool_balance(comm):
+    """Outstanding-buffer delta of this worker's pool over 10 halo
+    exchanges and a one-way move loop (rank 0 -> rank 1)."""
+    part = Partition(GridGeometry((16, 8)), (2, 1))
+    sub = part.subgrid(comm.rank)
+    field = OffsetArray.from_bounds(
+        ghost_bounds(part, comm.rank, (0, 1), [(1, 16), (1, 8)],
+                     GhostSpec(((1, 1), (1, 1)))), name="v")
+    halo = HaloExchanger(CartComm(comm, (2, 1)),
+                         [HaloSpec(field, (0, 1), sub.owned,
+                                   ((1, 1), (1, 1)))])
+    pool = shared_pool()
+    before = pool.stats()["outstanding"]
+    for _ in range(10):
+        halo.exchange()
+    for i in range(5):
+        if comm.rank == 0:
+            buf = pool.acquire((64,), np.float64)
+            buf[:] = i
+            comm.send(1, buf, tag=7, move=True)
+        else:
+            pool.release(comm.recv(0, 7))
+    return pool.stats()["outstanding"] - before
 
 
 def _boom(comm):
@@ -102,16 +132,22 @@ class TestHappyPath:
                         executor="process")
         assert proc.results == thread.results
 
-    def test_move_payloads_cross_the_shm_ring(self):
+    def test_move_payloads_cross_the_pipe(self):
         w = proc_run(2, _halo_move, timeout=15.0)
         # each rank receives its peer's faces, bit-for-bit
         assert w.results[0] == [[2.0] * 16, [2.0] * 16]
         assert w.results[1] == [[1.0] * 16, [1.0] * 16]
 
-    def test_oversize_move_grows_the_ring(self):
+    def test_large_move_crosses_the_pipe(self):
         base = float(np.arange(40_000, dtype=np.float64).sum())
         w = proc_run(2, _big_move, timeout=15.0)
         assert w.results == [base + 40_000, base]
+
+    def test_move_sends_keep_the_pool_books_balanced(self):
+        # the pickle is the copy: each sender hands its packed buffers
+        # back, so no worker's pool counts them as outstanding
+        w = proc_run(2, _pool_balance, timeout=15.0)
+        assert w.results == [0, 0]
 
     def test_pool_is_reused_across_runs(self):
         proc_run(2, _pingpong, timeout=15.0)

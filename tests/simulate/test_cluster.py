@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.apps.sprayer import sprayer_source
+from repro.bench.drift import HOST_MACHINE, HOST_NETWORK
 from repro.core import AutoCFD
 from repro.errors import SimulationError
+from repro.obs.health import Telemetry
 from repro.simulate import ClusterSim, MachineModel, NodeModel, NetworkModel
 
 from tests.conftest import JACOBI_SRC, SEIDEL_SRC
@@ -160,6 +163,26 @@ class TestSimHealthSamples:
         assert len(samples) == len(out.per_rank)
         for s in samples:
             assert s.state == "done"
-            assert s.frame == 5
+            assert s.frame == 6
             assert s.sent_bytes == out.sent_bytes[s.rank]
             assert s.t_s == out.per_rank[s.rank]
+        # row by row against a live board: its last frame mark is
+        # 1-based, so 8 frames end on frame 8 on both sides
+        compiled = AutoCFD.from_source(
+            sprayer_source(n=60, m=24, iters=8, eps=0.0)).compile(
+                partition=(2, 1))
+        telemetry = Telemetry(2)
+        try:
+            compiled.run_parallel(input_text="2.5 30", telemetry=telemetry)
+            board = telemetry.samples()
+        finally:
+            telemetry.close()
+        sim = ClusterSim(compiled.plan, machine=HOST_MACHINE,
+                         network=HOST_NETWORK, chunks=1)
+        modeled = sim.run(8, warmup=8).health_samples()
+        fields = ("rank", "state", "frame", "mailbox_depth", "ckpt_frame",
+                  "sent_bytes", "recv_bytes", "sent_msgs", "recv_msgs")
+        rows = [[tuple(getattr(s, f) for f in fields) for s in side]
+                for side in (board, modeled)]
+        assert rows[0] == rows[1]
+        assert [s.frame for s in board] == [8, 8]
